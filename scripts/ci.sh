@@ -28,7 +28,6 @@ fi
 # run: the parallel differential suites, everything touching the background
 # prefetcher and registry, and the chaos suite (which arms fault schedules
 # while 16 sessions hammer the service).
-SAN_TESTS="parallel_marginal_test|parallel_sampling_test|sample_handler_test|session_test|concurrent_sessions_test|task_scheduler_test|service_test|codec_test|metrics_test|http_server_test|chaos_test|disk_table_test|sharded_engine_test|packed_column_test|deadline_test|rpc_test|cluster_test|live_table_test|expansion_cache_test"
 SAN_TARGETS=(
   parallel_marginal_test parallel_sampling_test sample_handler_test
   session_test concurrent_sessions_test task_scheduler_test
@@ -36,6 +35,8 @@ SAN_TARGETS=(
   disk_table_test sharded_engine_test packed_column_test
   deadline_test rpc_test cluster_test live_table_test expansion_cache_test
 )
+# The ctest regex for the same list: "a_test|b_test|...".
+SAN_TESTS="$(IFS='|'; echo "${SAN_TARGETS[*]}")"
 
 run_sanitizer_stage() {
   local name="$1" flags="$2"

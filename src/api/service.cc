@@ -227,7 +227,9 @@ Response ExplorationService::Open(const OpenRequest& request) {
   options.max_weight = request.max_weight;
   if (!request.measure.empty()) options.measure_column = request.measure;
   options.num_threads = request.num_threads;
-  if (request.prefetch) options.prefetch = Prefetcher::Mode::kBackground;
+  if (request.prefetch) {
+    options.prefetch = SessionOptions::PrefetchMode::kBackground;
+  }
 
   auto session = engine->NewSession(std::move(options));
   if (!session.ok()) return ErrorResponse(session.status());

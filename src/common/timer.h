@@ -2,8 +2,17 @@
 #define SMARTDD_COMMON_TIMER_H_
 
 #include <chrono>
+#include <cstdint>
 
 namespace smartdd {
+
+/// Milliseconds on the monotonic clock (for deadlines and ages, not dates).
+inline uint64_t NowMsSteady() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// Monotonic wall-clock stopwatch.
 class WallTimer {

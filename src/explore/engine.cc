@@ -126,7 +126,8 @@ Status ExplorationEngine::ValidateSessionOptions(
           options.measure_column->c_str()));
     }
   }
-  if (options.prefetch != Prefetcher::Mode::kDisabled && sampler_ == nullptr) {
+  if (options.prefetch != SessionOptions::PrefetchMode::kDisabled &&
+      sampler_ == nullptr) {
     return Status::InvalidArgument(
         "prefetch requires a sampling engine (EngineOptions::use_sampling); "
         "exact drill-downs have nothing to pre-fetch");

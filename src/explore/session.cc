@@ -375,12 +375,12 @@ void ExplorationSession::AfterExpansion() {
   if (sampler == nullptr) return;
   sampler->SetDisplayedTree(id_, BuildDisplayTree());
   switch (options_.prefetch) {
-    case Prefetcher::Mode::kDisabled:
+    case SessionOptions::PrefetchMode::kDisabled:
       break;
-    case Prefetcher::Mode::kSynchronous:
+    case SessionOptions::PrefetchMode::kSynchronous:
       sync_prefetch_status_ = sampler->Prefetch(id_);
       break;
-    case Prefetcher::Mode::kBackground: {
+    case SessionOptions::PrefetchMode::kBackground: {
       // Engine-scheduled background task on this session's fair queue — no
       // thread spawn per pass, and one session's prefetch backlog cannot
       // starve another session's.
@@ -440,7 +440,7 @@ Status ExplorationSession::RefreshExactCounts() {
 
 Status ExplorationSession::WaitForPrefetch() {
   Status drained = engine_->scheduler().Drain(id_);
-  if (options_.prefetch == Prefetcher::Mode::kSynchronous) {
+  if (options_.prefetch == SessionOptions::PrefetchMode::kSynchronous) {
     return sync_prefetch_status_;
   }
   return drained;

@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "core/drilldown.h"
-#include "explore/prefetcher.h"
 #include "sampling/sample_handler.h"
 #include "storage/scan_source.h"
 #include "weights/weight_function.h"
@@ -24,10 +23,14 @@ struct SessionOptions {
   /// mw cap; infinity derives it from the weight function.
   double max_weight = std::numeric_limits<double>::infinity();
   PruningMode pruning = PruningMode::kFull;
-  /// Pre-fetch samples for likely next drill-downs after each expansion.
-  /// Background prefetches run as engine-scheduled tasks on the session's
-  /// fair queue, not on a dedicated thread.
-  Prefetcher::Mode prefetch = Prefetcher::Mode::kDisabled;
+  /// Pre-fetch samples for likely next drill-downs after each expansion
+  /// (paper §4.3: "while the user is busy reading the current rule-list
+  /// ... start making a pass through the table in the background").
+  /// Synchronous runs the pass inline; background runs it as an
+  /// engine-scheduled task on the session's fair queue, not on a dedicated
+  /// thread.
+  enum class PrefetchMode { kDisabled, kSynchronous, kBackground };
+  PrefetchMode prefetch = PrefetchMode::kDisabled;
   /// Rank and display by Sum over this measure column instead of Count
   /// (paper §6.3). Must name a measure column of the table/source.
   std::optional<std::string> measure_column;

@@ -2,21 +2,17 @@
 #define SMARTDD_NET_HTTP_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "net/event_loop.h"
 #include "net/http_parser.h"
 
 namespace smartdd::net {
@@ -128,20 +124,19 @@ class StreamWriter {
 using HttpHandler = std::function<HttpResponse(
     const HttpRequest&, const std::shared_ptr<StreamWriter>&)>;
 
-/// A non-blocking, epoll-driven HTTP/1.1 server: one event-loop thread owns
-/// every socket (accept, read, parse, flush, timeouts) and a small worker
-/// pool runs handlers, so a slow client can never wedge the loop and a slow
-/// handler can never wedge other connections' I/O. Supports keep-alive with
-/// pipelining (responses serialize in request order — at most one request
-/// per connection is in flight), chunked streaming responses, bounded
-/// request parsing (see HttpLimits), connection/in-flight caps with 503
-/// load shedding, slow-loris idle timeouts, and graceful drain-then-close
-/// shutdown. Instrumented via common/metrics (smartdd_http_*).
-class HttpServer {
+/// A non-blocking HTTP/1.1 server: the HTTP protocol over the shared
+/// EventLoop (one event-loop thread owns every socket, a small worker pool
+/// runs handlers). Supports keep-alive with pipelining (responses serialize
+/// in request order — at most one request per connection is in flight),
+/// chunked streaming responses, bounded request parsing (see HttpLimits),
+/// connection/in-flight caps with 503 load shedding, slow-loris idle
+/// timeouts, and graceful drain-then-close shutdown. Instrumented via
+/// common/metrics (smartdd_http_*).
+class HttpServer : private ConnectionProtocol {
  public:
   explicit HttpServer(HttpHandler handler, HttpServerOptions options = {});
   /// Calls Shutdown() if still running.
-  ~HttpServer();
+  ~HttpServer() override;
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
@@ -157,15 +152,15 @@ class HttpServer {
   void Shutdown();
 
   /// The bound port (after Start()); useful with port 0.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   /// True between successful Start() and Shutdown().
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return loop_.running(); }
 
   /// True once Shutdown() began draining (the readiness probe's "stop
   /// sending me traffic" signal; liveness stays true until the process
   /// exits).
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return loop_.draining(); }
 
   /// Live accepted connections (for tests).
   size_t open_connections() const;
@@ -174,61 +169,33 @@ class HttpServer {
   size_t inflight_requests() const;
 
  private:
-  friend class StreamWriter;
   using Conn = StreamWriter::Conn;
 
-  void EventLoop();
-  void WorkerLoop();
-  void AcceptAll();
-  void HandleIo(const std::shared_ptr<Conn>& conn, uint32_t events);
+  // ConnectionProtocol: the HTTP decisions over the shared loop.
+  std::shared_ptr<Connection> Admit(int fd, uint64_t id) override;
+  void Refuse(int fd) override;
+  size_t InputBudget(const Connection& conn) const override;
+  void OnInput(const std::shared_ptr<Connection>& conn) override;
+  void OnWake(const std::shared_ptr<Connection>& conn) override;
+  bool MayClose(Connection& conn) override;
+  bool ExpireIdle(Connection& conn) override;
+
   /// Parses buffered input and dispatches at most one request.
   void Advance(const std::shared_ptr<Conn>& conn);
   void DispatchRequest(const std::shared_ptr<Conn>& conn);
-  /// Serializes a buffered response for the current request into the
-  /// connection's outbound buffer and marks the request complete. Safe from
-  /// any thread.
-  void CompleteRequest(const std::shared_ptr<Conn>& conn,
-                       const HttpResponse& response, bool keep_alive);
-  /// Writes as much pending output as the socket accepts; arms EPOLLOUT
-  /// when it blocks. Event-loop thread only.
-  void FlushOut(const std::shared_ptr<Conn>& conn);
-  void CloseConn(const std::shared_ptr<Conn>& conn);
-  void SweepIdle(uint64_t now_ms);
-  /// True when any connection still has unsent bytes (event-loop thread).
-  bool AnyPendingOut();
 
   const HttpHandler handler_;
   const HttpServerOptions options_;
   /// Co-owned by every StreamWriter; see ServerCore.
   const std::shared_ptr<ServerCore> core_;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  uint16_t port_ = 0;
-
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool workers_stop_ = false;
-
-  /// Event-loop-thread-only connection table.
-  std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns_;
-  uint64_t next_conn_id_ = 1;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<size_t> open_conns_{0};
-
   // smartdd_http_* instruments (process-wide registry).
   Counter& requests_total_;
   Counter& shed_total_;
   Counter& parse_errors_total_;
-  Counter& connections_total_;
-  Gauge& connections_open_;
+
+  /// Last: its threads call back into the members above.
+  EventLoop loop_;
 };
 
 }  // namespace smartdd::net

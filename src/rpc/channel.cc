@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,17 +17,11 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 
 namespace smartdd::rpc {
 
 namespace {
-
-uint64_t NowMsSteady() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Non-blocking dial with a budget, then back to blocking mode (the
 /// channel's socket I/O is blocking: sends are short and serialized, reads
@@ -371,18 +366,21 @@ Result<ResultPayload> Channel::DoCall(std::string_view line,
   }
 
   std::unique_lock<std::mutex> lock(state_mu_);
-  bool expired = false;
-  while (!pending->done) {
-    if (deadline.active() && deadline.expired()) {
-      expired = true;
-      break;
-    }
-    cv_.wait_for(lock, std::chrono::milliseconds(50));
+  auto expired = [&deadline]() {
+    return deadline.active() && deadline.expired();
+  };
+  while (!pending->done && !expired()) {
+    // Wake by the deadline at the latest.
+    cv_.wait_for(lock, std::chrono::duration<double, std::milli>(
+                           std::min(50.0, deadline.remaining_ms())));
   }
-  if (expired && !pending->done) {
+  // Checked after the wait, not only inside it: a RESULT that lands after
+  // the caller's budget ran out is late even if it won the wakeup race.
+  if (expired()) {
+    const bool answered = pending->done;
     pending_.erase(call_id);
     lock.unlock();
-    SendCancel(call_id);
+    if (!answered) SendCancel(call_id);
     errors_total_.Inc();
     return Status::DeadlineExceeded(
         StrFormat("%s: rpc deadline expired", target_.c_str()));

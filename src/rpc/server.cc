@@ -1,50 +1,21 @@
 #include "rpc/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstring>
+#include <unordered_map>
 
 #include "api/codec.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/string_util.h"
+#include "common/timer.h"
 
 namespace smartdd::rpc {
-
-namespace {
-
-/// epoll user-data keys for the two non-connection fds; connection ids
-/// start above them.
-constexpr uint64_t kListenKey = 0;
-constexpr uint64_t kEventKey = 1;
-constexpr uint64_t kFirstConnId = 2;
-
-constexpr int kEpollWaitMs = 50;
-
-uint64_t NowMsSteady() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 /// Shared state co-owned by the server and every live Responder, so a call
 /// finishing after the server object is gone — an expansion that outlived
 /// the shutdown drain window — touches only memory it co-owns.
-struct RpcServerCore {
-  RpcServerCore()
-      : call_seconds(MetricsRegistry::Default().GetHistogram(
+struct RpcServerCore : net::LoopCore {
+  explicit RpcServerCore(size_t out_buffer_cap)
+      : max_out_buffer_bytes(out_buffer_cap),
+        call_seconds(MetricsRegistry::Default().GetHistogram(
             "smartdd_rpc_server_call_seconds",
             "Dispatch-to-finish latency of handled RPC calls",
             Histogram::LatencySeconds())),
@@ -52,57 +23,23 @@ struct RpcServerCore {
             "smartdd_rpc_server_stream_frames_total",
             "STREAM frames sent to RPC peers")) {}
 
-  /// Queues `id` for event-loop attention and pokes the eventfd. Safe from
-  /// any thread, at any point in the server's lifetime: after shutdown the
-  /// fd reads -1 under the same lock and the poke is skipped.
-  void MarkDirty(uint64_t id) {
-    std::lock_guard<std::mutex> lock(dirty_mu);
-    if (id >= kFirstConnId) dirty.push_back(id);
-    if (event_fd >= 0) {
-      uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
-    }
-  }
-
-  void DecrementInflight() {
-    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(drain_mu);
-      drain_cv.notify_all();
-    }
-  }
-
-  size_t max_out_buffer_bytes = 4 * 1024 * 1024;
-  std::atomic<size_t> inflight{0};
-  std::mutex drain_mu;
-  std::condition_variable drain_cv;
-  std::mutex dirty_mu;
-  std::vector<uint64_t> dirty;
-  /// Wakeup fd; -1 once shutdown closes it (lifetime guarded by dirty_mu).
-  int event_fd = -1;
+  const size_t max_out_buffer_bytes;
   Histogram& call_seconds;
   Counter& stream_frames_total;
 };
 
-/// Per-connection state. The unannotated fields belong to the event-loop
-/// thread alone (input, frame reassembly, epoll bookkeeping); everything a
-/// worker or Responder touches sits behind `mu` or is atomic.
-struct RpcConn {
-  RpcConn(int fd, uint64_t id) : fd(fd), id(id) {}
-
-  const int fd;
-  const uint64_t id;
+/// Per-connection SDRP state over the loop's Connection. The unannotated
+/// fields belong to the event-loop thread alone; what a worker or
+/// Responder touches sits behind `mu`.
+struct RpcConn : net::Connection {
+  using Connection::Connection;
 
   // --- event-loop thread only ---
-  std::string in;
   bool handshaken = false;
-  bool read_eof = false;
-  uint32_t armed_mask = 0;
+  /// The peer sent GOAWAY: read nothing more, close once calls finish.
+  bool goaway = false;
 
   // --- shared with workers / responders ---
-  std::atomic<bool> closed{false};
-  std::mutex mu;
-  std::string out;  ///< bytes awaiting the socket (guarded by mu)
-  bool abort_conn = false;  ///< discard `out` and close now (guarded by mu)
   /// Live calls' cancel flags, keyed by call_id (guarded by mu). A CANCEL
   /// frame or connection death flips the flag; Finish erases the entry.
   std::unordered_map<uint64_t, std::shared_ptr<std::atomic<bool>>> calls;
@@ -197,338 +134,82 @@ void Responder::Finish(const ResultPayload& result) {
 Server::Server(CallHandler handler, ServerOptions options)
     : handler_(std::move(handler)),
       options_(std::move(options)),
-      core_(std::make_shared<RpcServerCore>()),
+      core_(std::make_shared<RpcServerCore>(options_.max_out_buffer_bytes)),
       calls_total_(MetricsRegistry::Default().GetCounter(
           "smartdd_rpc_server_calls_total", "RPC calls dispatched")),
       protocol_errors_total_(MetricsRegistry::Default().GetCounter(
           "smartdd_rpc_server_protocol_errors_total",
           "Connections dropped for handshake or framing violations")),
-      connections_total_(MetricsRegistry::Default().GetCounter(
-          "smartdd_rpc_server_connections_total", "RPC connections accepted")),
-      connections_open_(MetricsRegistry::Default().GetGauge(
-          "smartdd_rpc_server_connections_open",
-          "Currently open RPC connections")) {
+      loop_(*this, core_,
+            {.bind_address = options_.bind_address,
+             .port = options_.port,
+             .worker_threads = options_.worker_threads,
+             .max_connections = options_.max_connections,
+             .drain_timeout_ms = options_.drain_timeout_ms},
+            MetricsRegistry::Default().GetCounter(
+                "smartdd_rpc_server_connections_total",
+                "RPC connections accepted"),
+            MetricsRegistry::Default().GetGauge(
+                "smartdd_rpc_server_connections_open",
+                "Currently open RPC connections")) {
   SMARTDD_CHECK(handler_ != nullptr);
-  core_->max_out_buffer_bytes = options_.max_out_buffer_bytes;
 }
 
 Server::~Server() { Shutdown(); }
 
-size_t Server::open_connections() const {
-  return open_conns_.load(std::memory_order_acquire);
-}
+Status Server::Start() { return loop_.Start(); }
+
+void Server::Shutdown() { loop_.Shutdown(); }
+
+void Server::Stop() { loop_.Stop(); }
+
+size_t Server::open_connections() const { return loop_.open_connections(); }
 
 size_t Server::inflight_calls() const {
   return core_->inflight.load(std::memory_order_acquire);
 }
 
-Status Server::Start() {
-  SMARTDD_CHECK(!running_.load()) << "rpc::Server started twice";
-
-  // Same belt-and-braces as the HTTP server: a peer slamming its socket
-  // shut mid-write must surface as EPIPE, never SIGPIPE.
-  ::signal(SIGPIPE, SIG_IGN);
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument(
-        StrFormat("bad bind address '%s'", options_.bind_address.c_str()));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-          0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    Status status = Status::IOError(
-        StrFormat("bind/listen %s:%u: %s", options_.bind_address.c_str(),
-                  unsigned{options_.port}, std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  int event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || event_fd < 0) {
-    Status status = Status::IOError("epoll_create1/eventfd failed");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    if (event_fd >= 0) ::close(event_fd);
-    return status;
-  }
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    core_->event_fd = event_fd;
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.u64 = kEventKey;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd, &ev);
-
-  stop_.store(false);
-  draining_.store(false);
-  abort_flush_.store(false);
-  running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this]() { EventLoop(); });
-  const size_t workers = std::max<size_t>(1, options_.worker_threads);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-  return Status::OK();
+std::shared_ptr<net::Connection> Server::Admit(int fd, uint64_t id) {
+  auto conn = std::make_shared<RpcConn>(fd, id);
+  // Both sides greet eagerly: our preamble goes out before any frame,
+  // and the peer's must arrive before any frame is parsed.
+  conn->out = EncodeHandshake();
+  return conn;
 }
 
-void Server::Shutdown() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-
-  draining_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);  // just a poke; the loop sends GOAWAYs
-
-  {
-    std::unique_lock<std::mutex> lock(core_->drain_mu);
-    core_->drain_cv.wait_for(
-        lock, std::chrono::milliseconds(options_.drain_timeout_ms),
-        [this]() {
-          return core_->inflight.load(std::memory_order_acquire) == 0;
-        });
-  }
-
-  ShutdownThreads(/*flush=*/true);
+size_t Server::InputBudget(const net::Connection& conn) const {
+  // One maximal frame always fits, so a frame prefix never stalls reading.
+  return static_cast<const RpcConn&>(conn).goaway
+             ? 0
+             : kFrameHeaderBytes + kMaxFramePayload;
 }
 
-void Server::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  draining_.store(true, std::memory_order_release);
-  abort_flush_.store(true, std::memory_order_release);
-  ShutdownThreads(/*flush=*/false);
+void Server::OnInput(const std::shared_ptr<net::Connection>& base) {
+  auto conn = std::static_pointer_cast<RpcConn>(base);
+  Advance(conn);
+  // A peer that hangs up without GOAWAY is gone: close, cancelling
+  // whatever it had in flight.
+  if (conn->read_eof && !conn->goaway) loop_.Close(base);
 }
 
-void Server::ShutdownThreads(bool flush) {
-  if (!flush) abort_flush_.store(true, std::memory_order_release);
-  stop_.store(true, std::memory_order_release);
-  core_->MarkDirty(kEventKey);
-  loop_thread_.join();
-
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    workers_stop_ = true;
-  }
-  tasks_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-
-  // Close the wakeup fds only after every thread that could poke them is
-  // gone; a straggler Responder::Finish co-owns the core, takes dirty_mu,
-  // sees -1, and skips the write.
-  {
-    std::lock_guard<std::mutex> lock(core_->dirty_mu);
-    if (core_->event_fd >= 0) ::close(core_->event_fd);
-    core_->event_fd = -1;
-  }
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  epoll_fd_ = -1;
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  listen_fd_ = -1;
+void Server::OnDrain(net::Connection& conn) {
+  std::lock_guard<std::mutex> lock(conn.mu);
+  AppendFrame(conn.out, FrameType::kGoAway, 0, "draining");
 }
 
-void Server::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(tasks_mu_);
-      tasks_cv_.wait(lock,
-                     [this]() { return workers_stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // workers_stop_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-    }
-    task();
-  }
+bool Server::MayClose(net::Connection& base) {
+  auto& conn = static_cast<RpcConn&>(base);
+  return conn.goaway && conn.calls.empty();  // mu is held by the caller
 }
 
-void Server::EventLoop() {
-  std::vector<epoll_event> events(64);
-  bool listener_open = true;
-  bool goaways_sent = false;
-  uint64_t flush_deadline = 0;
-  while (true) {
-    if (stop_.load(std::memory_order_acquire)) {
-      if (abort_flush_.load(std::memory_order_acquire)) break;
-      // Final-flush phase: in-flight calls have drained (or timed out),
-      // but finished RESULTs may still sit in connection buffers. Pump
-      // briefly so graceful shutdown delivers them.
-      if (flush_deadline == 0) flush_deadline = NowMsSteady() + 2000;
-      bool pending = false;
-      for (auto& [id, conn] : conns_) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->out.empty()) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending || NowMsSteady() >= flush_deadline) break;
-    }
-    int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), kEpollWaitMs);
-    if (draining_.load(std::memory_order_acquire)) {
-      if (listener_open) {
-        // Graceful shutdown step 1: stop accepting. Live connections keep
-        // flushing and in-flight calls keep running until drained.
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-        listener_open = false;
-      }
-      if (!goaways_sent && !abort_flush_.load(std::memory_order_acquire)) {
-        goaways_sent = true;
-        for (auto& [id, conn] : conns_) {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          AppendFrame(conn->out, FrameType::kGoAway, 0, "draining");
-        }
-        for (auto& [id, conn] : conns_) FlushOut(conn);
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      uint64_t key = events[i].data.u64;
-      if (key == kListenKey) {
-        if (listener_open) AcceptAll();
-      } else if (key == kEventKey) {
-        uint64_t drainer;
-        while (::read(core_->event_fd, &drainer, sizeof(drainer)) > 0) {
-        }
-      } else {
-        auto it = conns_.find(key);
-        if (it != conns_.end()) {
-          // Copy the owner: HandleIo may CloseConn, which erases the map
-          // entry this iterator points at.
-          std::shared_ptr<RpcConn> conn = it->second;
-          HandleIo(conn, events[i].events);
-        }
-      }
-    }
-    // Serve wakeups from workers/responders (RESULT/STREAM bytes ready).
-    std::vector<uint64_t> dirty;
-    {
-      std::lock_guard<std::mutex> lock(core_->dirty_mu);
-      dirty.swap(core_->dirty);
-    }
-    for (uint64_t id : dirty) {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) continue;
-      std::shared_ptr<RpcConn> conn = it->second;
-      bool abort;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        abort = conn->abort_conn;
-      }
-      if (abort) {
-        CloseConn(conn);
-        continue;
-      }
-      FlushOut(conn);
-    }
+void Server::OnClose(net::Connection& base) {
+  // Calls still running against this connection observe cancellation at
+  // their next deadline poll and their Finish becomes a no-op write.
+  auto& conn = static_cast<RpcConn&>(base);
+  std::lock_guard<std::mutex> lock(conn.mu);
+  for (auto& [call_id, flag] : conn.calls) {
+    flag->store(true, std::memory_order_release);
   }
-  // Loop exit: tear down whatever is left (drain timeout stragglers).
-  std::vector<std::shared_ptr<RpcConn>> leftover;
-  leftover.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) leftover.push_back(conn);
-  for (auto& conn : leftover) CloseConn(conn);
-  if (listener_open && listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void Server::AcceptAll() {
-  while (true) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error; epoll will re-arm
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_total_.Inc();
-    if (conns_.size() >= options_.max_connections ||
-        draining_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      continue;
-    }
-    uint64_t id = kFirstConnId + next_conn_id_++;
-    auto conn = std::make_shared<RpcConn>(fd, id);
-    // Both sides greet eagerly: our preamble goes out before any frame,
-    // and the peer's must arrive before any frame is parsed.
-    conn->out = EncodeHandshake();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conn->armed_mask = EPOLLIN;
-    conns_.emplace(id, std::move(conn));
-    open_conns_.fetch_add(1, std::memory_order_acq_rel);
-    connections_open_.Add(1);
-    FlushOut(conns_.at(id));
-  }
-}
-
-void Server::HandleIo(const std::shared_ptr<RpcConn>& conn, uint32_t events) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  if (events & (EPOLLHUP | EPOLLERR)) {
-    CloseConn(conn);
-    return;
-  }
-  if (events & EPOLLIN) {
-    char buf[16384];
-    while (true) {
-      ssize_t r = ::recv(conn->fd, buf, sizeof(buf), 0);
-      if (r > 0) {
-        conn->in.append(buf, static_cast<size_t>(r));
-        // Bounded input: a peer cannot buffer more than one max frame
-        // plus a read quantum before the loop parses it down.
-        if (conn->in.size() > kMaxFramePayload + kFrameHeaderBytes +
-                                  sizeof(buf)) {
-          break;
-        }
-      } else if (r == 0) {
-        conn->read_eof = true;
-        break;
-      } else if (errno == EINTR) {
-        continue;
-      } else {
-        if (errno != EAGAIN && errno != EWOULDBLOCK) {
-          CloseConn(conn);
-          return;
-        }
-        break;
-      }
-    }
-    Advance(conn);
-    if (conn->closed.load(std::memory_order_acquire)) return;
-    if (conn->read_eof && conn->in.empty()) {
-      // Peer is gone; cancel whatever it had in flight and close once the
-      // (now pointless) output would have flushed.
-      CloseConn(conn);
-      return;
-    }
-  }
-  FlushOut(conn);
 }
 
 void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
@@ -539,13 +220,13 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
       protocol_errors_total_.Inc();
       SMARTDD_LOG(Warning) << "rpc: dropping peer: "
                            << version.status().ToString();
-      CloseConn(conn);
+      loop_.Close(conn);
       return;
     }
     conn->in.erase(0, kHandshakeBytes);
     conn->handshaken = true;
   }
-  while (!conn->closed.load(std::memory_order_acquire)) {
+  while (!conn->goaway && !conn->closed.load(std::memory_order_acquire)) {
     Frame frame;
     size_t consumed = 0;
     std::string error;
@@ -554,7 +235,7 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
     if (state == DecodeState::kError) {
       protocol_errors_total_.Inc();
       SMARTDD_LOG(Warning) << "rpc: dropping peer: " << error;
-      CloseConn(conn);
+      loop_.Close(conn);
       return;
     }
     conn->in.erase(0, consumed);
@@ -571,14 +252,14 @@ void Server::Advance(const std::shared_ptr<RpcConn>& conn) {
         break;
       }
       case FrameType::kGoAway:
-        // A client saying goodbye: stop reading new frames; the
-        // connection closes once its output drains and calls finish.
-        conn->read_eof = true;
+        // A client saying goodbye: stop reading; the connection closes
+        // once its calls finish and its output drains (MayClose).
+        conn->goaway = true;
         break;
       default:
         // RESULT/STREAM from a client are nonsense.
         protocol_errors_total_.Inc();
-        CloseConn(conn);
+        loop_.Close(conn);
         return;
     }
   }
@@ -599,93 +280,20 @@ void Server::DispatchCall(const std::shared_ptr<RpcConn>& conn, Frame frame) {
     responder.reset(new Responder(core_, conn, frame.call_id, CallPayload{}));
   }
   Status defect = call.ok() ? Status::OK() : call.status();
-  {
-    std::lock_guard<std::mutex> lock(tasks_mu_);
-    tasks_.push_back([this, responder, defect = std::move(defect)]() {
-      Status blocked = defect;
-      if (blocked.ok()) blocked = InjectFault("rpc.server.dispatch");
-      if (!blocked.ok()) {
-        ResultPayload result;
-        result.code = blocked.code();
-        api::Response response;
-        response.status = blocked;
-        result.json = api::EncodeResponse(response);
-        responder->Finish(result);
-        return;
-      }
-      handler_(responder);
-    });
-  }
-  tasks_cv_.notify_one();
-}
-
-void Server::FlushOut(const std::shared_ptr<RpcConn>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) return;
-  bool io_error = false;
-  bool out_empty;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->out.empty()) {
-      ssize_t w = ::send(conn->fd, conn->out.data(),
-                         std::min<size_t>(conn->out.size(), 1 << 16),
-                         MSG_NOSIGNAL);
-      if (w > 0) {
-        conn->out.erase(0, static_cast<size_t>(w));
-      } else if (w < 0 && errno == EINTR) {
-        continue;
-      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else {
-        io_error = true;
-        break;
-      }
-    }
-    out_empty = conn->out.empty();
-  }
-  if (io_error) {
-    CloseConn(conn);
-    return;
-  }
-  if (out_empty && conn->read_eof) {
-    bool idle;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      idle = conn->calls.empty();
-    }
-    if (idle) {
-      CloseConn(conn);
+  loop_.Submit([this, responder, defect = std::move(defect)]() {
+    Status blocked = defect;
+    if (blocked.ok()) blocked = InjectFault("rpc.server.dispatch");
+    if (!blocked.ok()) {
+      ResultPayload result;
+      result.code = blocked.code();
+      api::Response response;
+      response.status = blocked;
+      result.json = api::EncodeResponse(response);
+      responder->Finish(result);
       return;
     }
-  }
-
-  // Re-arm epoll for exactly what this connection still needs.
-  uint32_t mask = 0;
-  if (!conn->read_eof) mask |= EPOLLIN;
-  if (!out_empty) mask |= EPOLLOUT;
-  if (mask != conn->armed_mask) {
-    epoll_event ev{};
-    ev.events = mask;
-    ev.data.u64 = conn->id;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->armed_mask = mask;
-  }
-}
-
-void Server::CloseConn(const std::shared_ptr<RpcConn>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
-  {
-    // Calls still running against this connection observe cancellation at
-    // their next deadline poll and their Finish becomes a no-op write.
-    std::lock_guard<std::mutex> lock(conn->mu);
-    for (auto& [call_id, flag] : conn->calls) {
-      flag->store(true, std::memory_order_release);
-    }
-  }
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conns_.erase(conn->id);
-  open_conns_.fetch_sub(1, std::memory_order_acq_rel);
-  connections_open_.Sub(1);
+    handler_(responder);
+  });
 }
 
 }  // namespace smartdd::rpc

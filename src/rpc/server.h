@@ -2,20 +2,15 @@
 #define SMARTDD_RPC_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/deadline.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "net/event_loop.h"
 #include "rpc/frame.h"
 
 namespace smartdd::rpc {
@@ -99,22 +94,22 @@ class Responder {
 /// responder->Finish (directly or from an async completion).
 using CallHandler = std::function<void(const std::shared_ptr<Responder>&)>;
 
-/// A non-blocking epoll-driven RPC server speaking the rpc/frame wire
-/// format: one event-loop thread owns every socket (accept, handshake,
-/// frame reassembly, flush) and a small worker pool runs handlers, so a
-/// slow peer can never wedge the loop and a slow handler can never wedge
-/// other connections' I/O. Calls multiplex freely on one connection;
+/// A non-blocking RPC server speaking the rpc/frame wire format: the SDRP
+/// protocol over the shared net::EventLoop (one event-loop thread owns
+/// every socket — accept, handshake, frame reassembly, flush — and a small
+/// worker pool runs handlers). Calls multiplex freely on one connection;
 /// CANCEL frames flip the matching call's cancel flag (visible through
-/// Responder::deadline()). Shutdown() is graceful (GOAWAY to every peer,
-/// drain in-flight calls, flush, close); Stop() is abrupt (close
-/// everything now — the chaos path). Instrumented via common/metrics
+/// Responder::deadline()). A peer's GOAWAY stops reading but lets its calls
+/// answer; a peer's plain EOF cancels them. Shutdown() is graceful (GOAWAY
+/// to every peer, drain in-flight calls, flush, close); Stop() is abrupt
+/// (close everything now — the chaos path). Instrumented via common/metrics
 /// (smartdd_rpc_server_*). Fault point `rpc.server.dispatch` fires before
 /// each handler invocation.
-class Server {
+class Server : private net::ConnectionProtocol {
  public:
   explicit Server(CallHandler handler, ServerOptions options = {});
   /// Calls Shutdown() if still running.
-  ~Server();
+  ~Server() override;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -135,10 +130,10 @@ class Server {
   void Stop();
 
   /// The bound port (after Start()); useful with port 0.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   /// True between successful Start() and Shutdown()/Stop().
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return loop_.running(); }
 
   /// Live accepted connections (for tests).
   size_t open_connections() const;
@@ -147,50 +142,28 @@ class Server {
   size_t inflight_calls() const;
 
  private:
-  void EventLoop();
-  void WorkerLoop();
-  void AcceptAll();
-  void HandleIo(const std::shared_ptr<RpcConn>& conn, uint32_t events);
+  // net::ConnectionProtocol: the SDRP decisions over the shared loop.
+  std::shared_ptr<net::Connection> Admit(int fd, uint64_t id) override;
+  size_t InputBudget(const net::Connection& conn) const override;
+  void OnInput(const std::shared_ptr<net::Connection>& conn) override;
+  void OnDrain(net::Connection& conn) override;
+  bool MayClose(net::Connection& conn) override;
+  void OnClose(net::Connection& conn) override;
+
   /// Decodes buffered input into frames and acts on them.
   void Advance(const std::shared_ptr<RpcConn>& conn);
   void DispatchCall(const std::shared_ptr<RpcConn>& conn, Frame frame);
-  /// Writes as much pending output as the socket accepts; arms EPOLLOUT
-  /// when it blocks. Event-loop thread only.
-  void FlushOut(const std::shared_ptr<RpcConn>& conn);
-  void CloseConn(const std::shared_ptr<RpcConn>& conn);
-  void ShutdownThreads(bool flush);
 
   const CallHandler handler_;
   const ServerOptions options_;
   const std::shared_ptr<RpcServerCore> core_;
 
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  uint16_t port_ = 0;
-
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-
-  std::mutex tasks_mu_;
-  std::condition_variable tasks_cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool workers_stop_ = false;
-
-  /// Event-loop-thread-only connection table.
-  std::unordered_map<uint64_t, std::shared_ptr<RpcConn>> conns_;
-  uint64_t next_conn_id_ = 1;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> abort_flush_{false};
-  std::atomic<size_t> open_conns_{0};
-
   // smartdd_rpc_server_* instruments (process-wide registry).
   Counter& calls_total_;
   Counter& protocol_errors_total_;
-  Counter& connections_total_;
-  Gauge& connections_open_;
+
+  /// Last: its threads call back into the members above.
+  net::EventLoop loop_;
 };
 
 }  // namespace smartdd::rpc

@@ -1,6 +1,6 @@
-// Tests for the §6 extension features: column-interest boosts, the anytime
-// time-budget mode, Sum-aggregate sessions (direct and sampled), and the
-// MCount display column.
+// Tests for the §6 extension features: column-interest boosts, the
+// time-limit mode (a BRS deadline), Sum-aggregate sessions (direct and
+// sampled), and the MCount display column.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,7 @@ TEST(ColumnBoostWeightTest, SteersBrsTowardBoostedColumn) {
       << "boost failed to attract the rule to column 2";
 }
 
-TEST(TimeBudgetTest, UnlimitedByDefault) {
+TEST(BrsDeadlineTest, UnlimitedByDefault) {
   Table t = GenerateRetailTable();
   TableView v(t);
   SizeWeight w;
@@ -80,29 +80,32 @@ TEST(TimeBudgetTest, UnlimitedByDefault) {
   auto result = RunBrs(v, w, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rules.size(), 4u);
+  EXPECT_FALSE(result->deadline_exceeded);
 }
 
-TEST(TimeBudgetTest, TinyBudgetStillReturnsAtLeastOneRule) {
+TEST(BrsDeadlineTest, ExpiredDeadlineReturnsNoRules) {
   Table t = GenerateRetailTable();
   TableView v(t);
   SizeWeight w;
   BrsOptions options;
   options.k = 10;
-  options.time_budget_ms = 1e-6;  // expires immediately after step 1
+  options.deadline = Deadline::AfterMillis(0);  // expired before step 1
   auto result = RunBrs(v, w, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->rules.size(), 1u);
+  EXPECT_TRUE(result->deadline_exceeded);
+  EXPECT_EQ(result->rules.size(), 0u);
 }
 
-TEST(TimeBudgetTest, GenerousBudgetReturnsEverything) {
+TEST(BrsDeadlineTest, GenerousDeadlineReturnsEverything) {
   Table t = GenerateRetailTable();
   TableView v(t);
   SizeWeight w;
   BrsOptions options;
   options.k = 4;
-  options.time_budget_ms = 60000;
+  options.deadline = Deadline::AfterMillis(60000);
   auto result = RunBrs(v, w, options);
   ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result->deadline_exceeded);
   EXPECT_EQ(result->rules.size(), 4u);
 }
 

@@ -263,6 +263,67 @@ TEST(HttpServerTest, PipelinedKeepAliveRequestsAnswerInOrder) {
   server.Shutdown();
 }
 
+TEST(HttpServerTest, InputBudgetPausesReadsThenResumesThePipeline) {
+  // While the first request is handled, the pipelined followers overrun
+  // the input budget: the server stops reading (TCP holds the rest) and
+  // must resume once the budget frees, answering every request in order.
+  std::atomic<bool> release{false};
+  HttpServerOptions options;
+  options.limits.max_request_line_bytes = 256;
+  options.limits.max_header_bytes = 1024;
+  options.limits.max_body_bytes = 1024;
+  HttpServer server(
+      [&](const HttpRequest& request, const std::shared_ptr<StreamWriter>& s) {
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        return EchoHandler(request, s);
+      },
+      options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRequests = 24;
+  const std::string body(900, 'b');
+  std::string pipeline;
+  for (int i = 0; i < kRequests; ++i) {
+    pipeline += PostRequest("/r" + std::to_string(i), body);
+  }
+  ASSERT_GT(pipeline.size(), 3 * options.limits.input_budget());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  client.Send(pipeline);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  release = true;
+  for (int i = 0; i < kRequests; ++i) {
+    std::string response = client.ReadResponse();
+    ASSERT_EQ(StatusOf(response), 200) << "request " << i;
+    EXPECT_NE(response.find("POST /r" + std::to_string(i) + " ["),
+              std::string::npos);
+  }
+  server.Shutdown();
+}
+
+TEST(HttpServerTest, ConnectionCloseRequestsGetTheirWholeResponse) {
+  // A fast handler finishes while the loop is still flushing after the
+  // dispatch; the close decision must see the response it appended, so
+  // every `Connection: close` request is answered in full before the close.
+  HttpServerOptions options;
+  options.worker_threads = 4;
+  HttpServer server(EchoHandler, options);
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 300; ++i) {
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    const std::string path = "/c" + std::to_string(i);
+    client.Send(GetRequest(path, /*keep_alive=*/false));
+    std::string response = client.ReadResponse();
+    ASSERT_EQ(StatusOf(response), 200) << "request " << i;
+    ASSERT_NE(response.find("GET " + path + " []"), std::string::npos);
+    ASSERT_TRUE(client.WaitForClose(kIoTimeoutMs));
+  }
+  server.Shutdown();
+}
+
 TEST(HttpServerTest, OversizedHeadersRejected431) {
   HttpServerOptions options;
   options.limits.max_header_bytes = 512;

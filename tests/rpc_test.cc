@@ -2,7 +2,9 @@
 // codecs, malformed-input rejection) and the Channel <-> Server contract —
 // multiplexed unary calls, streaming with seq order and backpressure
 // cancellation, deadline propagation into the handler's Deadline, graceful
-// GOAWAY drain, abrupt-stop failure semantics, and lazy re-dial healing.
+// GOAWAY drain, abrupt-stop failure semantics, and lazy re-dial healing —
+// plus raw-socket cases for the server's connection policies (peer GOAWAY,
+// the connection cap, the out-buffer abort).
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -366,6 +369,206 @@ TEST(RpcChannelTest, GracefulShutdownDrainsInFlightCall) {
   releaser.join();
 }
 
+/// A raw TCP client for wire-level cases the Channel cannot express.
+/// `rcvbuf` > 0 shrinks the receive buffer (a peer that stops reading
+/// backs up sooner). Reads time out after 5s, so a hung server fails the
+/// test instead of wedging CI. Returns -1 if the connect fails.
+int RawConnect(uint16_t port, int rcvbuf = 0) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval recv_timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  return fd;
+}
+
+/// The client preamble plus one CALL frame carrying `line`.
+std::string HandshakeAndCall(uint64_t call_id, const std::string& line,
+                             bool wants_stream = false) {
+  std::string bytes = rpc::EncodeHandshake();
+  CallPayload call;
+  call.line = line;
+  call.wants_stream = wants_stream;
+  rpc::AppendFrame(bytes, FrameType::kCall, call_id,
+                   rpc::EncodeCallPayload(call));
+  return bytes;
+}
+
+/// Reads past the server preamble until the RESULT frame for `call_id`;
+/// false on EOF, timeout or a malformed stream.
+bool ReadResult(int fd, uint64_t call_id, ResultPayload* result) {
+  std::string in;
+  char buf[4096];
+  while (true) {
+    if (in.size() >= rpc::kHandshakeBytes) {
+      Frame frame;
+      size_t consumed = 0;
+      std::string error;
+      std::string_view frames(in);
+      frames.remove_prefix(rpc::kHandshakeBytes);
+      DecodeState state = rpc::DecodeFrame(frames, &frame, &consumed, &error);
+      if (state == DecodeState::kError) return false;
+      if (state == DecodeState::kFrame) {
+        in.erase(rpc::kHandshakeBytes, consumed);
+        if (frame.type == FrameType::kResult && frame.call_id == call_id) {
+          auto decoded = rpc::DecodeResultPayload(frame.payload);
+          if (!decoded.ok()) return false;
+          *result = *decoded;
+          return true;
+        }
+        continue;
+      }
+    }
+    ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
+    if (r <= 0) return false;
+    in.append(buf, static_cast<size_t>(r));
+  }
+}
+
+TEST(RpcServerTest, PeerGoAwayStillReceivesInFlightResult) {
+  // GOAWAY from a client only stops the server reading: calls already in
+  // flight still answer before the connection closes (plain EOF, by
+  // contrast, is a dead peer and cancels them).
+  auto handler = [](const std::shared_ptr<Responder>& responder) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EchoHandler(responder);
+  };
+  RpcFixture fx(handler);
+  int fd = RawConnect(fx.server.port());
+  ASSERT_GE(fd, 0);
+  std::string bytes = HandshakeAndCall(7, "late");
+  rpc::AppendFrame(bytes, FrameType::kGoAway, 0, "bye");
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  ResultPayload result;
+  ASSERT_TRUE(ReadResult(fd, 7, &result));
+  EXPECT_EQ(result.json, "echo:late");
+  // Then the server closes: its calls are done and its output flushed.
+  char buf[64];
+  EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
+  ::close(fd);
+}
+
+TEST(RpcServerTest, PeerGoAwayStillReceivesStreamedCallsResult) {
+  // A streaming call after the peer's GOAWAY: the flushes its STREAM
+  // frames trigger race the call's Finish, and the close decision must see
+  // the RESULT that Finish appends, never the empty buffer before it.
+  auto handler = [](const std::shared_ptr<Responder>& responder) {
+    responder->Stream("step-0");
+    responder->Stream("step-1");
+    EchoHandler(responder);
+  };
+  RpcFixture fx(handler);
+  for (int i = 0; i < 200; ++i) {
+    int fd = RawConnect(fx.server.port());
+    ASSERT_GE(fd, 0);
+    std::string bytes = HandshakeAndCall(9, "streamed", /*wants_stream=*/true);
+    rpc::AppendFrame(bytes, FrameType::kGoAway, 0, "bye");
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    ResultPayload result;
+    ASSERT_TRUE(ReadResult(fd, 9, &result)) << "connection " << i;
+    EXPECT_EQ(result.json, "echo:streamed");
+    char buf[64];
+    EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
+    ::close(fd);
+  }
+}
+
+TEST(RpcServerTest, PeerEofCancelsInFlightCall) {
+  // A peer that half-closes without GOAWAY is dead: its live calls see
+  // cancellation and the connection closes.
+  std::atomic<bool> saw_cancel{false};
+  auto handler = [&](const std::shared_ptr<Responder>& responder) {
+    for (int i = 0; i < 1000 && !responder->cancelled(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    saw_cancel = responder->deadline().expired();
+    responder->Finish(ResultPayload{});
+  };
+  RpcFixture fx(handler);
+  int fd = RawConnect(fx.server.port());
+  ASSERT_GE(fd, 0);
+  std::string bytes = HandshakeAndCall(3, "doomed");
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  for (int i = 0; i < 1000 && fx.server.inflight_calls() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ::shutdown(fd, SHUT_WR);
+  for (int i = 0; i < 1000 && fx.server.inflight_calls() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(saw_cancel.load());
+  ResultPayload result;
+  EXPECT_FALSE(ReadResult(fd, 3, &result));  // closed with no RESULT
+  ::close(fd);
+}
+
+TEST(RpcServerTest, ConnectionBeyondCapIsClosedWithoutHandshake) {
+  ServerOptions sopts;
+  sopts.max_connections = 1;
+  RpcFixture fx(EchoHandler, sopts);
+  ASSERT_TRUE(fx.channel->Call("first").ok());
+  int fd = RawConnect(fx.server.port());
+  ASSERT_GE(fd, 0);
+  char buf[64];
+  EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);  // no preamble, just EOF
+  ::close(fd);
+  auto result = fx.channel->Call("still-serving");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->json, "echo:still-serving");
+  EXPECT_EQ(fx.server.open_connections(), 1u);
+}
+
+TEST(RpcServerTest, StreamToPeerThatStopsReadingAbortsConnection) {
+  std::atomic<bool> stream_refused{false};
+  std::atomic<bool> handler_done{false};
+  auto handler = [&](const std::shared_ptr<Responder>& responder) {
+    const std::string chunk(8192, 'x');
+    // Bounded: the socket buffers plus the 64 KiB cap fill long before.
+    for (int i = 0; i < 20000; ++i) {
+      if (!responder->Stream(chunk)) {
+        stream_refused = true;
+        break;
+      }
+    }
+    EXPECT_TRUE(responder->cancelled());
+    responder->Finish(ResultPayload{});
+    handler_done = true;
+  };
+  ServerOptions sopts;
+  sopts.max_out_buffer_bytes = 64 * 1024;
+  RpcFixture fx(handler, sopts);
+  int fd = RawConnect(fx.server.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  std::string bytes = HandshakeAndCall(1, "flood", /*wants_stream=*/true);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  // Never read: the server's out buffer passes its cap and the server
+  // aborts the connection.
+  for (int i = 0; i < 1000 && !(handler_done.load() &&
+                                fx.server.open_connections() == 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(handler_done.load());
+  EXPECT_TRUE(stream_refused.load());
+  EXPECT_EQ(fx.server.open_connections(), 0u);
+  EXPECT_EQ(fx.server.inflight_calls(), 0u);
+  ::close(fd);
+}
+
 TEST(RpcChannelTest, GarbageGreetingIsRejected) {
   RpcFixture fx(EchoHandler);
   // A raw client speaking HTTP at the RPC port must be disconnected by the
@@ -375,16 +578,8 @@ TEST(RpcChannelTest, GarbageGreetingIsRejected) {
   Channel probe(copts);
   ASSERT_TRUE(probe.Connect().ok());
   // (A well-formed peer for contrast; now the garbage one.)
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(fx.server.port());
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  timeval recv_timeout{5, 0};  // a hung server fails the test, not CI
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
-               sizeof(recv_timeout));
+  int fd = RawConnect(fx.server.port());
+  ASSERT_GE(fd, 0);
   const char kGarbage[] = "GET / HTTP/1.1\r\n\r\n";
   ASSERT_GT(::send(fd, kGarbage, sizeof(kGarbage) - 1, MSG_NOSIGNAL), 0);
   // Server closes on us: recv drains the greeting then hits EOF.
