@@ -86,6 +86,7 @@ struct Backend {
       : engine(*ExplorationEngine::Create(table, weight)) {
     api::ServiceOptions options;
     options.token_seed = token_seed;
+    options.cache_max_bytes = 0;  // every expand runs the engine
     service = std::make_unique<api::ExplorationService>(options);
     SMARTDD_CHECK(service->AddEngine("bench", engine.get()).ok());
     wire = std::make_unique<api::LocalWireService>(service.get());
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
   ExplorationEngine local_engine(table, weight);
   api::ServiceOptions local_options;
   local_options.token_seed = kSeed;
+  local_options.cache_max_bytes = 0;
   api::ExplorationService local_service(local_options);
   SMARTDD_CHECK(local_service.AddEngine("bench", &local_engine).ok());
   api::LocalWireService local(&local_service);

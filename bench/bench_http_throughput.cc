@@ -47,6 +47,14 @@ namespace {
 using namespace smartdd;
 using namespace smartdd::bench;
 
+/// Expansion cache off: every expand runs the engine, so the script's
+/// repeated clicks are priced cold instead of as cache hits.
+api::ServiceOptions ColdServiceOptions() {
+  api::ServiceOptions options;
+  options.cache_max_bytes = 0;
+  return options;
+}
+
 /// Minimal blocking keep-alive HTTP client (Content-Length responses only —
 /// exactly what the /v1 JSON endpoints produce).
 class BenchClient {
@@ -170,7 +178,7 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.num_threads = Flags().threads;
     ExplorationEngine engine(table, weight, engine_options);
-    api::ExplorationService service;
+    api::ExplorationService service(ColdServiceOptions());
     SMARTDD_CHECK(service.AddEngine("bench", &engine).ok());
 
     WallTimer direct_t;
@@ -213,7 +221,7 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.num_threads = Flags().threads;
     ExplorationEngine engine(table, weight, engine_options);
-    api::ExplorationService service;
+    api::ExplorationService service(ColdServiceOptions());
     SMARTDD_CHECK(service.AddEngine("bench", &engine).ok());
     net::ExplorationHttpAdapter adapter(&service);
     net::HttpServerOptions server_options;
@@ -273,7 +281,7 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.num_threads = Flags().threads;
     ExplorationEngine engine(table, weight, engine_options);
-    api::ExplorationService service;
+    api::ExplorationService service(ColdServiceOptions());
     SMARTDD_CHECK(service.AddEngine("bench", &engine).ok());
     net::ExplorationHttpAdapter adapter(&service);
     net::HttpServerOptions server_options;

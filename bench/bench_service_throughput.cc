@@ -34,6 +34,14 @@ namespace {
 using namespace smartdd;
 using namespace smartdd::bench;
 
+/// Expansion cache off: every expand runs the engine, so the script's
+/// repeated clicks are priced cold instead of as cache hits.
+api::ServiceOptions ColdServiceOptions() {
+  api::ServiceOptions options;
+  options.cache_max_bytes = 0;
+  return options;
+}
+
 uint64_t TokenOf(const std::string& response_line) {
   size_t at = response_line.find("\"session\":\"");
   SMARTDD_CHECK(at != std::string::npos) << response_line;
@@ -117,7 +125,7 @@ int main(int argc, char** argv) {
     }
     const double direct_ms = direct_t.ElapsedMillis();
 
-    api::ExplorationService service;
+    api::ExplorationService service(ColdServiceOptions());
     SMARTDD_CHECK(service.AddEngine("bench", &engine).ok());
     std::vector<double> lat;
     WallTimer service_t;
@@ -135,7 +143,7 @@ int main(int argc, char** argv) {
     EngineOptions engine_options;
     engine_options.num_threads = Flags().threads;
     ExplorationEngine engine(table, weight, engine_options);
-    api::ExplorationService service;
+    api::ExplorationService service(ColdServiceOptions());
     SMARTDD_CHECK(service.AddEngine("bench", &engine).ok());
 
     std::vector<std::vector<double>> latencies(clients);

@@ -87,7 +87,7 @@ Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
   latencies.reserve(reps);
   for (uint64_t rep = 0; rep < reps; ++rep) {
     WallTimer timer;
-    auto response = (*engine)->RunDrillDown(request, std::nullopt);
+    auto response = (*engine)->front().RunDrillDown(request, std::nullopt);
     double ms = timer.ElapsedMillis();
     SMARTDD_CHECK(response.ok()) << response.status().ToString();
     latencies.push_back(ms);

@@ -37,8 +37,7 @@ DegradeCounters& Degrades() {
 }  // namespace
 
 ExplorationService::ExplorationService(ServiceOptions options)
-    : default_num_shards_(std::max<size_t>(1, options.num_shards)),
-      live_snapshot_every_rows_(options.live_snapshot_every_rows),
+    : live_snapshot_every_rows_(options.live_snapshot_every_rows),
       live_snapshot_every_ms_(options.live_snapshot_every_ms),
       live_fsync_every_records_(options.live_fsync_every_records),
       clock_ms_(options.clock_ms),
@@ -58,14 +57,20 @@ ExplorationService::ExplorationService(ServiceOptions options)
         return r;
       }()) {}
 
+Status ExplorationService::CheckNameFreeLocked(const std::string& name) const {
+  if (engines_.count(name) != 0 || live_datasets_.count(name) != 0 ||
+      claimed_names_.count(name) != 0) {
+    return Status::InvalidArgument(
+        StrFormat("dataset '%s' is already registered", name.c_str()));
+  }
+  return Status::OK();
+}
+
 Status ExplorationService::AddEngine(std::string name,
                                      ExplorationEngine* engine) {
   SMARTDD_CHECK(engine != nullptr);
   std::lock_guard<std::mutex> lock(engines_mu_);
-  if (engines_.count(name) != 0 || live_datasets_.count(name) != 0) {
-    return Status::InvalidArgument(
-        StrFormat("dataset '%s' is already registered", name.c_str()));
-  }
+  SMARTDD_RETURN_IF_ERROR(CheckNameFreeLocked(name));
   if (engines_.empty() && live_datasets_.empty()) default_dataset_ = name;
   engines_.emplace(std::move(name), engine);
   return Status::OK();
@@ -81,7 +86,7 @@ Status ExplorationService::AddShardedTable(std::string name,
                                            const WeightFunction& weight,
                                            size_t num_shards) {
   ShardedEngineOptions options;
-  options.num_shards = num_shards != 0 ? num_shards : default_num_shards_;
+  options.num_shards = num_shards;
   auto engine = ShardedEngine::Create(table, weight, std::move(options));
   SMARTDD_RETURN_IF_ERROR(engine.status());
   SMARTDD_RETURN_IF_ERROR(AddEngine(std::move(name), engine->get()));
@@ -115,8 +120,14 @@ live::LiveTable* ExplorationService::FindLiveTable(const std::string& name) {
 
 Status ExplorationService::AddLiveTable(std::string name, Table base,
                                         const WeightFunction& weight,
-                                        const std::string& wal_path,
-                                        size_t num_shards) {
+                                        const std::string& wal_path) {
+  {
+    // Claim the name first: a duplicate must not replay, truncate or
+    // create a WAL, nor flip /readyz to replaying.
+    std::lock_guard<std::mutex> lock(engines_mu_);
+    SMARTDD_RETURN_IF_ERROR(CheckNameFreeLocked(name));
+    claimed_names_.insert(name);
+  }
   live::LiveTableOptions lopts;
   lopts.wal_path = wal_path;
   lopts.snapshot_every_rows = live_snapshot_every_rows_;
@@ -131,18 +142,13 @@ Status ExplorationService::AddLiveTable(std::string name, Table base,
   if (!wal_path.empty()) replaying_.fetch_add(1, std::memory_order_acq_rel);
   auto table = live::LiveTable::Create(std::move(base), std::move(lopts));
   if (!wal_path.empty()) replaying_.fetch_sub(1, std::memory_order_acq_rel);
-  SMARTDD_RETURN_IF_ERROR(table.status());
 
+  std::lock_guard<std::mutex> lock(engines_mu_);
+  claimed_names_.erase(name);
+  SMARTDD_RETURN_IF_ERROR(table.status());
   auto ds = std::make_unique<LiveDataset>();
   ds->table = std::move(table).value();
   ds->weight = &weight;
-  ds->num_shards = num_shards != 0 ? num_shards : default_num_shards_;
-
-  std::lock_guard<std::mutex> lock(engines_mu_);
-  if (engines_.count(name) != 0 || live_datasets_.count(name) != 0) {
-    return Status::InvalidArgument(
-        StrFormat("dataset '%s' is already registered", name.c_str()));
-  }
   if (engines_.empty() && live_datasets_.empty()) default_dataset_ = name;
   live_datasets_.emplace(std::move(name), std::move(ds));
   return Status::OK();
@@ -159,7 +165,7 @@ void ExplorationService::GcVersionEnginesLocked(LiveDataset& ds) {
             // (use_count > 1 means an Open copied the pointer but has not
             // registered its session yet — sparing it is always safe).
             return ve->snapshot->version != latest &&
-                   ve->engine->front().num_sessions() == 0 &&
+                   ve->engine->num_sessions() == 0 &&
                    ve.use_count() == 1;
           }),
       ds.engines.end());
@@ -174,12 +180,8 @@ ExplorationService::LatestVersionEngine(LiveDataset& ds) {
   }
   auto ve = std::make_shared<VersionEngine>();
   ve->snapshot = std::move(snapshot);
-  ShardedEngineOptions opts;
-  opts.num_shards = ds.num_shards;
-  auto engine = ShardedEngine::Create(ve->snapshot->table, *ds.weight,
-                                      std::move(opts));
-  SMARTDD_RETURN_IF_ERROR(engine.status());
-  ve->engine = std::move(engine).value();
+  SMARTDD_ASSIGN_OR_RETURN(
+      ve->engine, ExplorationEngine::Create(ve->snapshot->table, *ds.weight));
   ds.engines.push_back(ve);
   GcVersionEnginesLocked(ds);
   return ve;
@@ -210,7 +212,7 @@ Response ExplorationService::Open(const OpenRequest& request) {
     auto ve = LatestVersionEngine(*live);
     if (!ve.ok()) return ErrorResponse(ve.status());
     version_engine = std::move(ve).value();
-    engine = &version_engine->engine->front();
+    engine = version_engine->engine.get();
     version = version_engine->snapshot->version;
   } else {
     engine = FindEngine(request.dataset);
@@ -470,23 +472,10 @@ Response ExplorationService::Append(const AppendRequest& request) {
             ? std::string("service has no datasets registered")
             : StrFormat("unknown dataset '%s'", request.dataset.c_str())));
   }
-  const uint64_t version_before = live->table->Info().version;
   Status s = live->table->Append(request.row);
   if (!s.ok()) return ErrorResponse(std::move(s));
-  live::LiveTableInfo info = live->table->Info();
-  if (info.version != version_before) {
-    // A new snapshot version was published. Exact engines need nothing
-    // (new opens get a fresh version engine; old sessions keep theirs),
-    // but any sampling backend fronting this dataset must drop its sample
-    // store — its reservoirs describe the previous version's rows.
-    std::lock_guard<std::mutex> lock(live->mu);
-    for (const auto& ve : live->engines) {
-      SampleHandler* sampler = ve->engine->front().sampler();
-      if (sampler != nullptr) sampler->BumpDataVersion(info.version);
-    }
-  }
   Response r;
-  r.table = MakeInfoView(resolved, info);
+  r.table = MakeInfoView(resolved, live->table->Info());
   return r;
 }
 

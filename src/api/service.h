@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,10 +31,6 @@ struct ServiceOptions {
   /// 0 = entropy-seeded session tokens (the safe default); fixed nonzero
   /// seeds are for reproducible scripting only (see SessionRegistry).
   uint64_t token_seed = 0;
-  /// Default shard count for engines stood up via AddShardedTable (clamped
-  /// to >= 1). Purely an execution knob: the wire protocol, expansion
-  /// trees, and every response byte are identical for every value.
-  size_t num_shards = 1;
   /// Live-table snapshot cadence: publish a new table version once this
   /// many appended rows are pending. 0 disables the row trigger.
   uint64_t live_snapshot_every_rows = 256;
@@ -82,24 +79,26 @@ class ExplorationService {
   /// service.
   Status AddEngine(std::string name, ShardedEngine* engine);
 
-  /// Stands up a service-owned ShardedEngine over `table` (num_shards = 0
-  /// uses ServiceOptions::num_shards) and registers it as dataset `name`.
-  /// `table` and `weight` must outlive the service.
+  /// Stands up a service-owned ShardedEngine of `num_shards` shards over
+  /// `table` and registers it as dataset `name`. Purely an execution knob:
+  /// every response byte is identical for every shard count. `table` and
+  /// `weight` must outlive the service.
   Status AddShardedTable(std::string name, const Table& table,
-                         const WeightFunction& weight, size_t num_shards = 0);
+                         const WeightFunction& weight, size_t num_shards = 1);
 
   /// Registers a live (appendable) dataset `name` seeded with `base`. When
   /// `wal_path` is non-empty, appended rows are durably logged there and
   /// replayed on the next startup (recovered rows become version 2 before
   /// the first open). Each published snapshot version gets its own
-  /// service-owned ShardedEngine lazily, on the first open that sees it;
-  /// sessions pin the version they opened against and old version engines
-  /// are retired when their last session closes. `weight` must outlive the
-  /// service. Snapshot cadence and fsync batching come from ServiceOptions.
+  /// service-owned ExplorationEngine over the snapshot table lazily, on the
+  /// first open that sees it; sessions pin the version they opened against
+  /// and old version engines are retired when their last session closes.
+  /// `weight` must outlive the service. Snapshot cadence and fsync batching
+  /// come from ServiceOptions. A duplicate `name` is rejected with
+  /// InvalidArgument before the WAL is touched.
   Status AddLiveTable(std::string name, Table base,
                       const WeightFunction& weight,
-                      const std::string& wal_path = {},
-                      size_t num_shards = 0);
+                      const std::string& wal_path = {});
 
   /// The live table behind dataset `name`, or nullptr if `name` is unknown
   /// or static. Exposed for embedders/tests that drive appends directly.
@@ -165,11 +164,11 @@ class ExplorationService {
 
  private:
   /// One frozen snapshot version's execution backend. The snapshot member
-  /// is declared before the engine on purpose: the ShardedEngine borrows
-  /// the snapshot's Table, so the engine must be destroyed first.
+  /// is declared before the engine on purpose: the engine borrows the
+  /// snapshot's Table, so the engine must be destroyed first.
   struct VersionEngine {
     std::shared_ptr<const live::TableSnapshot> snapshot;
-    std::unique_ptr<ShardedEngine> engine;
+    std::unique_ptr<ExplorationEngine> engine;
   };
 
   /// A registered live dataset: the appendable table plus the per-version
@@ -178,7 +177,6 @@ class ExplorationService {
   struct LiveDataset {
     std::unique_ptr<live::LiveTable> table;
     const WeightFunction* weight = nullptr;
-    size_t num_shards = 1;
     std::mutex mu;  ///< guards `engines`
     std::vector<std::shared_ptr<VersionEngine>> engines;
   };
@@ -206,6 +204,9 @@ class ExplorationService {
   Response WithSnapshot(uint64_t token,
                         const std::function<Status(ExplorationSession&)>& fn);
 
+  /// InvalidArgument if `name` is registered or claimed. Caller holds
+  /// engines_mu_.
+  Status CheckNameFreeLocked(const std::string& name) const;
   ExplorationEngine* FindEngine(const std::string& dataset);
   LiveDataset* FindLiveDataset(const std::string& dataset,
                                std::string* resolved_name,
@@ -235,8 +236,6 @@ class ExplorationService {
   bool BuildCacheKey(const ExpandRequest& request,
                      const ExplorationSession& session, std::string* key);
 
-  /// ServiceOptions::num_shards, resolved at construction.
-  size_t default_num_shards_ = 1;
   /// Live-table knobs from ServiceOptions, copied at construction.
   uint64_t live_snapshot_every_rows_ = 256;
   int64_t live_snapshot_every_ms_ = 0;
@@ -247,6 +246,9 @@ class ExplorationService {
   /// Guarded by engines_mu_ (map structure only; each LiveDataset has its
   /// own lock for its engines vector).
   std::map<std::string, std::unique_ptr<LiveDataset>> live_datasets_;
+  /// Names claimed by AddLiveTable calls still replaying their WAL, so a
+  /// duplicate is rejected before it touches a log. Guarded by engines_mu_.
+  std::set<std::string> claimed_names_;
   std::string default_dataset_;
   /// Sharded engines stood up by AddShardedTable. Declared before the
   /// registry so live sessions (owned by registry_, destroyed first) never

@@ -8,6 +8,8 @@
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "explore/session.h"
+#include "rules/rule_ops.h"
+#include "storage/table_view.h"
 
 namespace smartdd {
 
@@ -49,9 +51,15 @@ Status ValidateEngineOptions(const EngineOptions& options, bool in_memory) {
 
 Result<std::unique_ptr<ExplorationEngine>> ExplorationEngine::Create(
     const Table& table, const WeightFunction& weight, EngineOptions options) {
+  return Create(table, {&table}, weight, std::move(options));
+}
+
+Result<std::unique_ptr<ExplorationEngine>> ExplorationEngine::Create(
+    const Table& table, std::vector<const Table*> parts,
+    const WeightFunction& weight, EngineOptions options) {
   SMARTDD_RETURN_IF_ERROR(ValidateEngineOptions(options, /*in_memory=*/true));
-  return std::unique_ptr<ExplorationEngine>(
-      new ExplorationEngine(table, weight, std::move(options)));
+  return std::unique_ptr<ExplorationEngine>(new ExplorationEngine(
+      table, std::move(parts), weight, std::move(options)));
 }
 
 Result<std::unique_ptr<ExplorationEngine>> ExplorationEngine::Create(
@@ -65,21 +73,46 @@ Result<std::unique_ptr<ExplorationEngine>> ExplorationEngine::Create(
 ExplorationEngine::ExplorationEngine(const Table& table,
                                      const WeightFunction& weight,
                                      EngineOptions options)
+    : ExplorationEngine(table, {&table}, weight, std::move(options)) {}
+
+ExplorationEngine::ExplorationEngine(const Table& table,
+                                     std::vector<const Table*> parts,
+                                     const WeightFunction& weight,
+                                     EngineOptions options)
     : weight_(&weight),
       options_(std::move(options)),
       table_(&table),
+      parts_(std::move(parts)),
       prototype_(Table::EmptyLike(table)),
       scheduler_(std::make_unique<TaskScheduler>(
           std::max<size_t>(1, options_.scheduler_workers))) {
   SMARTDD_CHECK(!options_.use_sampling)
       << "sampling mode requires the ScanSource constructor";
+  SMARTDD_CHECK(!parts_.empty()) << "an in-memory engine needs a part";
   LogKernelPath(options_.kernel);
-  // Resident bytes of the packed column payloads (the unsharded series;
-  // ShardedEngine registers per-shard smartdd_table_bytes{shard="N"}).
-  MetricsRegistry::Default()
-      .GetGauge("smartdd_table_bytes",
-                "Resident bytes of the engine table's packed column storage")
-      .Set(static_cast<int64_t>(table_->resident_column_bytes()));
+  // Per-part observability, labeled by the part's position in row order.
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  part_scan_passes_.reserve(parts_.size());
+  for (size_t s = 0; s < parts_.size(); ++s) {
+    const std::string label = StrFormat("{shard=\"%zu\"}", s);
+    registry
+        .GetGauge("smartdd_shard_rows" + label,
+                  "Rows owned by each shard of the sharded engine")
+        .Set(static_cast<int64_t>(parts_[s]->num_rows()));
+    registry
+        .GetGauge("smartdd_table_bytes" + label,
+                  "Resident bytes of each shard slice's packed column "
+                  "storage")
+        .Set(static_cast<int64_t>(parts_[s]->resident_column_bytes()));
+    part_scan_passes_.push_back(&registry.GetCounter(
+        "smartdd_shard_scan_passes_total" + label,
+        "Counting-pass scans executed against each shard's rows"));
+  }
+  merge_latency_ = &registry.GetHistogram(
+      "smartdd_sharded_merge_latency_seconds",
+      "Wall time of the scatter-gather merge stages (folding per-lane and "
+      "per-block partials in deterministic order) per sharded drill-down",
+      Histogram::LatencySeconds());
 }
 
 ExplorationEngine::ExplorationEngine(const ScanSource& source,
@@ -100,6 +133,56 @@ ExplorationEngine::ExplorationEngine(const ScanSource& source,
     sampler_ = std::make_unique<SampleHandler>(source, options_.sampler);
   }
   LogKernelPath(options_.kernel);
+}
+
+Result<DrillDownResponse> ExplorationEngine::RunDrillDown(
+    DrillDownRequest request, std::optional<size_t> measure) const {
+  SMARTDD_CHECK(table_ != nullptr) << "exact drill-down requires a table";
+  // Fan the session's per-part thread knob out across the parts: N parts
+  // at k threads each search with N*k lanes (0 stays 0 = all hardware).
+  if (request.num_threads != 0) request.num_threads *= parts_.size();
+
+  std::vector<TableView> views;
+  views.reserve(parts_.size());  // view_ptrs point into it
+  std::vector<const TableView*> view_ptrs;
+  for (const Table* part : parts_) {
+    views.emplace_back(*part);
+    if (measure) views.back().SelectMeasure(*measure);
+    view_ptrs.push_back(&views.back());
+  }
+
+  SMARTDD_ASSIGN_OR_RETURN(
+      DrillDownResponse response,
+      SmartDrillDownSharded(view_ptrs, *weight_, request));
+
+  // Observability: every counting pass scanned every part's rows once;
+  // the gather/merge wall time is the scatter-gather overhead.
+  for (Counter* c : part_scan_passes_) c->Inc(response.stats.passes);
+  merge_latency_->Observe(response.stats.merge_seconds);
+  return response;
+}
+
+std::vector<double> ExplorationEngine::ExactMasses(
+    const std::vector<Rule>& rules, std::optional<size_t> measure) const {
+  SMARTDD_CHECK(table_ != nullptr) << "ExactMasses requires a table";
+  std::vector<double> masses(rules.size(), 0.0);
+  // Each rule's accumulator advances sequentially across the parts in row
+  // order — the same addition sequence as one pass over the whole table,
+  // so the floats are byte-identical for every part count.
+  for (const Table* part : parts_) {
+    TableView view(*part);
+    if (measure) view.SelectMeasure(*measure);
+    const uint64_t n = view.num_rows();
+    for (size_t i = 0; i < rules.size(); ++i) {
+      double acc = masses[i];
+      for (uint64_t row = 0; row < n; ++row) {
+        if (RuleCoversRow(rules[i], view, row)) acc += view.mass(row);
+      }
+      masses[i] = acc;
+    }
+  }
+  for (Counter* c : part_scan_passes_) c->Inc(1);
+  return masses;
 }
 
 ExplorationEngine::~ExplorationEngine() {

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <vector>
 
+#include "common/metrics.h"
 #include "common/result.h"
 #include "common/task_scheduler.h"
+#include "core/drilldown.h"
 #include "core/scan_kernels.h"
 #include "sampling/sample_handler.h"
 #include "storage/scan_source.h"
@@ -16,7 +20,6 @@
 namespace smartdd {
 
 class ExplorationSession;
-class ShardedEngine;
 struct SessionOptions;
 
 /// Engine-wide configuration (per dataset, not per user).
@@ -42,10 +45,11 @@ struct EngineOptions {
 
 /// The shared, thread-safe half of the engine/session split: one
 /// ExplorationEngine per dataset owns everything immutable or internally
-/// synchronized — the Table or ScanSource, the prototype schema and
-/// dictionaries, the WeightFunction, the shared SampleHandler, and the fair
-/// TaskScheduler for background work — while each user holds a cheap
-/// ExplorationSession (tree state + options only) created via NewSession().
+/// synchronized — the Table (drilled as an ordered list of row-contiguous
+/// parts) or ScanSource, the prototype schema and dictionaries, the
+/// WeightFunction, the shared SampleHandler, and the fair TaskScheduler for
+/// background work — while each user holds a cheap ExplorationSession (tree
+/// state + options only) created via NewSession().
 ///
 /// Concurrency contract: any number of sessions may run Expand / Collapse /
 /// RefreshExactCounts concurrently from their own threads. Exact-mode
@@ -75,8 +79,8 @@ class ExplorationEngine {
       const ScanSource& source, const WeightFunction& weight,
       EngineOptions options = {});
 
-  /// In-memory mode: exact drill-downs over `table`.
-  /// `table` and `weight` must outlive the engine.
+  /// In-memory mode: exact drill-downs over `table`, drilled as its one
+  /// part. `table` and `weight` must outlive the engine.
   /// Embedding-layer constructor: clamps instead of validating (it cannot
   /// return a Status); prefer Create() which rejects bad options up front.
   ExplorationEngine(const Table& table, const WeightFunction& weight,
@@ -112,14 +116,13 @@ class ExplorationEngine {
   const WeightFunction& weight() const { return *weight_; }
   /// The in-memory table, or nullptr in scan-source mode.
   const Table* table() const { return table_; }
+  /// The in-memory table's row-contiguous parts in row order (the table
+  /// itself, or a ShardedEngine's shard slices); empty in scan-source mode.
+  const std::vector<const Table*>& parts() const { return parts_; }
   /// The scan source, or nullptr in in-memory mode.
   const ScanSource* source() const { return source_; }
   /// The shared sample handler, or nullptr when sampling is off.
   SampleHandler* sampler() const { return sampler_.get(); }
-  /// The sharded engine this engine fronts, or nullptr when unsharded.
-  /// Sessions route exact drill-downs through it (scatter-gather over the
-  /// shard slices); all other paths are unaffected.
-  const ShardedEngine* sharded() const { return sharded_; }
   /// Fair background-task scheduler (one queue per session).
   TaskScheduler& scheduler() const { return *scheduler_; }
   const EngineOptions& options() const { return options_; }
@@ -128,9 +131,31 @@ class ExplorationEngine {
     return live_sessions_.load(std::memory_order_relaxed);
   }
 
+  /// Exact drill-down over the parts (in-memory mode only), scattered as
+  /// one concatenated row space by SmartDrillDownSharded: byte-identical
+  /// for every part count. `measure` selects Sum aggregation. The request's
+  /// num_threads is scaled by the part count (when non-zero), so a session's
+  /// per-part thread knob fans out across the parts.
+  Result<DrillDownResponse> RunDrillDown(DrillDownRequest request,
+                                         std::optional<size_t> measure) const;
+
+  /// Exact masses of `rules` (in-memory mode only), each accumulated
+  /// sequentially across the parts in row order: the same addition
+  /// sequence for every part count, so the floats are byte-identical.
+  std::vector<double> ExactMasses(const std::vector<Rule>& rules,
+                                  std::optional<size_t> measure) const;
+
  private:
   friend class ExplorationSession;
   friend class ShardedEngine;
+
+  /// In-memory engine over `parts`, row-contiguous slices of `table` in
+  /// row order (ShardedEngine's entry point).
+  static Result<std::unique_ptr<ExplorationEngine>> Create(
+      const Table& table, std::vector<const Table*> parts,
+      const WeightFunction& weight, EngineOptions options);
+  ExplorationEngine(const Table& table, std::vector<const Table*> parts,
+                    const WeightFunction& weight, EngineOptions options);
 
   /// Binds a new session: allocates its scheduler queue and returns its id
   /// (also the SampleHandler session key).
@@ -141,14 +166,17 @@ class ExplorationEngine {
 
   const WeightFunction* weight_;
   EngineOptions options_;
-  // Exactly one of table_/source_ is set.
+  // Exactly one of table_/source_ is set; parts_ is non-empty iff table_ is.
   const Table* table_ = nullptr;
+  std::vector<const Table*> parts_;
   const ScanSource* source_ = nullptr;
   Table prototype_;
   std::unique_ptr<SampleHandler> sampler_;
   std::unique_ptr<TaskScheduler> scheduler_;
-  /// Back-pointer set by the owning ShardedEngine (not owned).
-  const ShardedEngine* sharded_ = nullptr;
+  /// Per-part counting-pass counters and the scatter-gather merge-latency
+  /// histogram (in-memory mode); process-wide instruments.
+  std::vector<Counter*> part_scan_passes_;
+  Histogram* merge_latency_ = nullptr;
   std::atomic<size_t> live_sessions_{0};
 };
 

@@ -6,8 +6,6 @@
 
 #include "common/string_util.h"
 #include "explore/engine.h"
-#include "explore/sharded_engine.h"
-#include "rules/rule_ops.h"
 #include "sampling/minss_guidance.h"
 
 namespace smartdd {
@@ -91,6 +89,13 @@ const SampleHandler* ExplorationSession::sampler() const {
   return engine_->sampler();
 }
 
+Result<std::optional<size_t>> ExplorationSession::MeasureIndex() const {
+  if (!options_.measure_column) return std::optional<size_t>();
+  SMARTDD_ASSIGN_OR_RETURN(
+      size_t m, engine_->prototype().FindMeasure(*options_.measure_column));
+  return std::optional<size_t>(m);
+}
+
 Result<DrillDownResponse> ExplorationSession::RunDrillDown(
     const Rule& base, std::optional<size_t> star_column,
     const ExpandStepCallback& on_step, const Deadline& deadline) {
@@ -111,29 +116,12 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
     };
   }
 
-  const WeightFunction& weight = engine_->weight();
-
-  // Switches a view to the session's Sum measure if one is configured.
-  auto apply_measure = [this](TableView& view) -> Status {
-    if (!options_.measure_column) return Status::OK();
-    SMARTDD_ASSIGN_OR_RETURN(
-        size_t m, view.table().FindMeasure(*options_.measure_column));
-    view.SelectMeasure(m);
-    return Status::OK();
-  };
-
+  SMARTDD_ASSIGN_OR_RETURN(std::optional<size_t> measure, MeasureIndex());
   if (engine_->table() != nullptr) {
-    // Sharded engines scatter-gather the exact drill-down across their
-    // shard slices; results are byte-identical to the unsharded view path.
-    const ShardedEngine* sharded = engine_->sharded();
-    if (sharded != nullptr) {
-      return sharded->RunDrillDown(request, options_.measure_column);
-    }
-    TableView view(*engine_->table());
-    SMARTDD_RETURN_IF_ERROR(apply_measure(view));
-    return SmartDrillDown(view, weight, request);
+    return engine_->RunDrillDown(std::move(request), measure);
   }
 
+  const WeightFunction& weight = engine_->weight();
   const ScanSource* source = engine_->source();
   SMARTDD_CHECK(source != nullptr);
   SampleHandler* sampler = engine_->sampler();
@@ -141,7 +129,7 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
     SMARTDD_ASSIGN_OR_RETURN(SampleRequest sample,
                              sampler->GetSampleFor(base, id_, deadline));
     TableView view(sample.table);
-    SMARTDD_RETURN_IF_ERROR(apply_measure(view));
+    if (measure) view.SelectMeasure(*measure);
     if (on_step) {
       // Stream full-table estimates, not raw sample masses: the observer
       // sees the same scale — and the same exactness — the final children
@@ -185,7 +173,7 @@ Result<DrillDownResponse> ExplorationSession::RunDrillDown(
       });
   SMARTDD_RETURN_IF_ERROR(s);
   TableView view(materialized);
-  SMARTDD_RETURN_IF_ERROR(apply_measure(view));
+  if (measure) view.SelectMeasure(*measure);
   return SmartDrillDown(view, weight, request);
 }
 
@@ -398,23 +386,10 @@ Status ExplorationSession::RefreshExactCounts() {
   std::vector<Rule> rules;
   for (int id : order) rules.push_back(nodes_[id].rule);
 
-  std::optional<size_t> measure;
-  if (options_.measure_column) {
-    SMARTDD_ASSIGN_OR_RETURN(
-        size_t m, engine_->prototype().FindMeasure(*options_.measure_column));
-    measure = m;
-  }
-
+  SMARTDD_ASSIGN_OR_RETURN(std::optional<size_t> measure, MeasureIndex());
   std::vector<double> masses;
   if (engine_->table() != nullptr) {
-    if (engine_->sharded() != nullptr) {
-      SMARTDD_ASSIGN_OR_RETURN(masses,
-                               engine_->sharded()->ExactMasses(rules, measure));
-    } else {
-      TableView view(*engine_->table());
-      if (measure) view.SelectMeasure(*measure);
-      for (const Rule& r : rules) masses.push_back(RuleMass(view, r));
-    }
+    masses = engine_->ExactMasses(rules, measure);
   } else if (engine_->sampler() != nullptr) {
     SMARTDD_ASSIGN_OR_RETURN(masses,
                              engine_->sampler()->ExactMasses(rules, measure));

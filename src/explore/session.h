@@ -181,6 +181,8 @@ class ExplorationSession {
   /// Unbinds from the engine (drains background work); safe to call twice.
   void Release();
 
+  /// The session's Sum measure column, or nullopt for Count.
+  Result<std::optional<size_t>> MeasureIndex() const;
   Result<DrillDownResponse> RunDrillDown(const Rule& base,
                                          std::optional<size_t> star_column,
                                          const ExpandStepCallback& on_step,

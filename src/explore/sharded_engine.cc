@@ -2,32 +2,28 @@
 
 #include <utility>
 
-#include "common/logging.h"
-#include "common/string_util.h"
-#include "rules/rule_ops.h"
-#include "storage/table_view.h"
-
 namespace smartdd {
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     const Table& table, const WeightFunction& weight,
     ShardedEngineOptions options) {
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine());
-  engine->weight_ = &weight;
-  engine->table_ = &table;
   engine->plan_ = ShardPlan::Make(table.num_rows(), options.num_shards);
-  engine->shard_tables_.reserve(engine->plan_.num_shards());
-  for (const ShardRange& r : engine->plan_.ranges()) {
-    engine->shard_tables_.push_back(table.SliceRows(r.begin, r.end));
+  // One shard is the table itself; only a real partition pays for slices.
+  std::vector<const Table*> parts = {&table};
+  if (engine->plan_.num_shards() > 1) {
+    engine->shard_tables_.reserve(engine->plan_.num_shards());
+    parts.clear();
+    for (const ShardRange& r : engine->plan_.ranges()) {
+      engine->shard_tables_.push_back(table.SliceRows(r.begin, r.end));
+      parts.push_back(&engine->shard_tables_.back());
+    }
   }
-  // The front engine serves sessions over the *full* table, so unrouted
-  // paths (prototype, validation, root mass) stay correct; its exact
-  // drill-downs are routed back here via the sharded back-pointer.
+  // The front engine serves sessions over the full table (prototype,
+  // validation, root mass) and drills its exact expansions over the parts.
   SMARTDD_ASSIGN_OR_RETURN(
-      engine->front_,
-      ExplorationEngine::Create(table, weight, std::move(options.engine)));
-  engine->front_->sharded_ = engine.get();
-  engine->RegisterMetrics();
+      engine->front_, ExplorationEngine::Create(table, std::move(parts), weight,
+                                                std::move(options.engine)));
   return engine;
 }
 
@@ -35,7 +31,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     const ScanSource& source, const WeightFunction& weight,
     ShardedEngineOptions options) {
   std::unique_ptr<ShardedEngine> engine(new ShardedEngine());
-  engine->weight_ = &weight;
   engine->plan_ = ShardPlan::Make(source.num_rows(), options.num_shards);
   std::vector<const ScanSource*> slices;
   for (const ShardRange& r : engine->plan_.ranges()) {
@@ -53,103 +48,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       engine->front_,
       ExplorationEngine::Create(*engine->sharded_source_, weight,
                                 std::move(options.engine)));
-  engine->front_->sharded_ = engine.get();
-  engine->RegisterMetrics();
   return engine;
-}
-
-ShardedEngine::~ShardedEngine() {
-  // Sever the routing pointer before the front engine (and its sessions'
-  // invariants) wind down.
-  if (front_ != nullptr) front_->sharded_ = nullptr;
-}
-
-void ShardedEngine::RegisterMetrics() {
-  MetricsRegistry& registry = MetricsRegistry::Default();
-  shard_scan_passes_.reserve(plan_.num_shards());
-  for (size_t s = 0; s < plan_.num_shards(); ++s) {
-    const std::string label = StrFormat("{shard=\"%zu\"}", s);
-    registry
-        .GetGauge("smartdd_shard_rows" + label,
-                  "Rows owned by each shard of the sharded engine")
-        .Set(static_cast<int64_t>(plan_.shard(s).num_rows()));
-    // Scan-source sharded engines hold no in-memory slices; the byte gauge
-    // only exists for table-sharded engines.
-    if (s < shard_tables_.size()) {
-      registry
-          .GetGauge("smartdd_table_bytes" + label,
-                    "Resident bytes of each shard slice's packed column "
-                    "storage")
-          .Set(static_cast<int64_t>(shard_tables_[s].resident_column_bytes()));
-    }
-    shard_scan_passes_.push_back(&registry.GetCounter(
-        "smartdd_shard_scan_passes_total" + label,
-        "Counting-pass scans executed against each shard's rows"));
-  }
-  merge_latency_ = &registry.GetHistogram(
-      "smartdd_sharded_merge_latency_seconds",
-      "Wall time of the scatter-gather merge stages (folding per-lane and "
-      "per-block partials in deterministic order) per sharded drill-down",
-      Histogram::LatencySeconds());
-}
-
-Result<DrillDownResponse> ShardedEngine::RunDrillDown(
-    DrillDownRequest request,
-    const std::optional<std::string>& measure_column) const {
-  SMARTDD_CHECK(table_ != nullptr)
-      << "sharded exact drill-down requires in-memory mode";
-  // Fan the session's per-shard thread knob out across the shards: N shards
-  // at k threads each search with N*k lanes (0 stays 0 = all hardware).
-  if (request.num_threads != 0) {
-    request.num_threads *= plan_.num_shards();
-  }
-
-  std::vector<TableView> views;
-  views.reserve(shard_tables_.size());
-  for (const Table& t : shard_tables_) {
-    TableView view(t);
-    if (measure_column) {
-      SMARTDD_ASSIGN_OR_RETURN(size_t m, t.FindMeasure(*measure_column));
-      view.SelectMeasure(m);
-    }
-    views.push_back(std::move(view));
-  }
-  std::vector<const TableView*> view_ptrs;
-  for (const TableView& v : views) view_ptrs.push_back(&v);
-
-  SMARTDD_ASSIGN_OR_RETURN(
-      DrillDownResponse response,
-      SmartDrillDownSharded(view_ptrs, *weight_, request));
-
-  // Observability: every counting pass scanned every shard's rows once;
-  // the gather/merge wall time is the scatter-gather overhead.
-  for (Counter* c : shard_scan_passes_) c->Inc(response.stats.passes);
-  merge_latency_->Observe(response.stats.merge_seconds);
-  return response;
-}
-
-Result<std::vector<double>> ShardedEngine::ExactMasses(
-    const std::vector<Rule>& rules, std::optional<size_t> measure) const {
-  SMARTDD_CHECK(table_ != nullptr)
-      << "sharded ExactMasses requires in-memory mode";
-  std::vector<double> masses(rules.size(), 0.0);
-  // Each rule's accumulator advances sequentially across the shards in
-  // shard order — the same addition sequence as one pass over the unsharded
-  // table, so the floats are byte-identical for every shard count.
-  for (const Table& t : shard_tables_) {
-    TableView view(t);
-    if (measure) view.SelectMeasure(*measure);
-    const uint64_t n = view.num_rows();
-    for (size_t i = 0; i < rules.size(); ++i) {
-      double acc = masses[i];
-      for (uint64_t row = 0; row < n; ++row) {
-        if (RuleCoversRow(rules[i], view, row)) acc += view.mass(row);
-      }
-      masses[i] = acc;
-    }
-  }
-  for (Counter* c : shard_scan_passes_) c->Inc(1);
-  return masses;
 }
 
 }  // namespace smartdd

@@ -2,13 +2,9 @@
 #define SMARTDD_EXPLORE_SHARDED_ENGINE_H_
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/result.h"
-#include "core/drilldown.h"
 #include "explore/engine.h"
 #include "storage/scan_source.h"
 #include "storage/shard_plan.h"
@@ -38,11 +34,13 @@ struct ShardedEngineOptions {
 /// byte-identical to a single-shard serial engine for every
 /// num_shards x num_threads combination.
 ///
-/// In-memory mode slices the Table and routes exact drill-downs through
-/// SmartDrillDownSharded. Scan-source mode slices the source into
-/// RangeScanSources recombined by a ShardedScanSource — same rows, same
-/// order — so the sampling subsystem (sub-reservoir stitch, ExactMasses
-/// chunk merges) is byte-identical by construction without any routing.
+/// In-memory mode hands the front engine the shard slices as its row
+/// parts (ExplorationEngine::RunDrillDown / ExactMasses scatter-gather over
+/// them); a one-shard plan's part is the borrowed table itself, so nothing
+/// is copied. Scan-source mode slices the source into RangeScanSources
+/// recombined by a ShardedScanSource — same rows, same order — so the
+/// sampling subsystem (sub-reservoir stitch, ExactMasses chunk merges) is
+/// byte-identical by construction.
 ///
 /// Like ExplorationEngine, the sharded engine is pinned in memory and
 /// borrows its table/source and weight; destroy all sessions before it.
@@ -58,56 +56,27 @@ class ShardedEngine {
       const ScanSource& source, const WeightFunction& weight,
       ShardedEngineOptions options = {});
 
-  ~ShardedEngine();
-
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// The front engine sessions are created from (NewSession etc.). Its
-  /// exact drill-downs are routed back through this sharded engine.
+  /// The front engine sessions are created from (NewSession etc.).
   ExplorationEngine& front() const { return *front_; }
 
   size_t num_shards() const { return plan_.num_shards(); }
   const ShardPlan& plan() const { return plan_; }
 
-  /// Scatter-gather exact drill-down over the shard slices (in-memory mode
-  /// only; scan-source mode flows through the front engine's sampler).
-  /// `measure_column` selects Sum aggregation on every shard view. The
-  /// request's num_threads is scaled by the shard count (when non-zero), so
-  /// a session's per-shard thread knob fans out across shards.
-  Result<DrillDownResponse> RunDrillDown(
-      DrillDownRequest request,
-      const std::optional<std::string>& measure_column) const;
-
-  /// Exact masses of `rules` over the sharded table, each accumulated
-  /// sequentially across the shards in shard order (byte-identical to the
-  /// unsharded pass; in-memory mode only).
-  Result<std::vector<double>> ExactMasses(const std::vector<Rule>& rules,
-                                          std::optional<size_t> measure) const;
-
  private:
   ShardedEngine() = default;
 
-  /// Registers the per-shard observability instruments (smartdd_shard_rows,
-  /// per-shard scan-pass counters, merge-latency histogram).
-  void RegisterMetrics();
-
-  const WeightFunction* weight_ = nullptr;
   ShardPlan plan_;
-  /// In-memory mode: one row slice per shard, sharing the original table's
-  /// dictionaries.
-  const Table* table_ = nullptr;
+  /// In-memory mode with more than one shard: one row slice per shard,
+  /// sharing the original table's dictionaries (the front engine's parts).
   std::vector<Table> shard_tables_;
   /// Scan-source mode: per-shard row-range slices and their concatenation
   /// (the front engine's source).
   std::vector<std::unique_ptr<RangeScanSource>> shard_sources_;
   std::unique_ptr<ShardedScanSource> sharded_source_;
   std::unique_ptr<ExplorationEngine> front_;
-
-  /// Per-shard pass-1 scan counters and the scatter-gather merge-latency
-  /// histogram; mutable-by-design process-wide instruments.
-  std::vector<Counter*> shard_scan_passes_;
-  Histogram* merge_latency_ = nullptr;
 };
 
 }  // namespace smartdd

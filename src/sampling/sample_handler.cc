@@ -664,13 +664,6 @@ void SampleHandler::DropSession(uint64_t session) {
   }
 }
 
-void SampleHandler::BumpDataVersion(uint64_t version) {
-  std::unique_lock<std::shared_mutex> lock(store_mu_);
-  samples_.clear();
-  exact_masses_.clear();
-  data_version_.store(version, std::memory_order_relaxed);
-}
-
 Status SampleHandler::Prefetch(uint64_t session) {
   std::optional<DisplayTree> tree_copy = TreeCopy(session);
   if (!tree_copy) return Status::OK();

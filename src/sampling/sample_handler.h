@@ -139,17 +139,6 @@ class SampleHandler {
   /// Forgets `session`'s displayed tree (its samples stay until evicted).
   void DropSession(uint64_t session);
 
-  /// Live-table version bump: drops every stored sample and the exact-mass
-  /// cache, because they describe rows of an older table version and
-  /// serving them against the new data would silently bias estimates.
-  /// Displayed trees stay — sessions keep exploring, and their next
-  /// drill-down rebuilds samples from the current data. `version` is
-  /// recorded for introspection via data_version().
-  void BumpDataVersion(uint64_t version);
-  uint64_t data_version() const {
-    return data_version_.load(std::memory_order_relaxed);
-  }
-
   /// Exact masses of `rules` computed in one pass over the source: tuple
   /// counts, or sums over measure column `measure` when given. Count-mode
   /// results are recorded so KnownExactMass() can serve them afterwards.
@@ -239,7 +228,6 @@ class SampleHandler {
   std::atomic<uint64_t> finds_{0};
   std::atomic<uint64_t> combines_{0};
   std::atomic<uint64_t> creates_{0};
-  std::atomic<uint64_t> data_version_{0};
   uint64_t seed_counter_ = 0;  // guarded by the Create single-flight
 };
 

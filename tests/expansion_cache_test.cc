@@ -354,15 +354,12 @@ TEST(ExpansionCacheServiceTest, HitPathByteIdenticalAcrossExecutionConfigs) {
   std::string saved_value = saved != nullptr ? saved : "";
   std::string reference;
   for (const Config& config : configs) {
-    // Engines resolve SMARTDD_KERNEL once at creation; the service creates
-    // its version engine lazily on the first open, safely inside this env
-    // window.
+    // Engines resolve SMARTDD_KERNEL once at creation, which
+    // AddShardedTable does inside this env window.
     ::setenv("SMARTDD_KERNEL", config.kernel, 1);
-    api::ServiceOptions options;
-    options.num_shards = config.shards;
-    options.live_snapshot_every_rows = 1;
-    api::ExplorationService service(options);
-    ASSERT_TRUE(service.AddLiveTable("synth", base, weight).ok());
+    api::ExplorationService service;
+    ASSERT_TRUE(
+        service.AddShardedTable("synth", base, weight, config.shards).ok());
 
     std::string open = service.ServeLine(
         "open k=3 threads=" + std::to_string(config.threads));

@@ -21,8 +21,6 @@
 #include "common/fault_injection.h"
 #include "data/synth.h"
 #include "live/wal.h"
-#include "sampling/sample_handler.h"
-#include "storage/scan_source.h"
 #include "storage/table.h"
 #include "tests/test_util.h"
 #include "weights/standard_weights.h"
@@ -458,39 +456,6 @@ TEST(LiveTableTest, ReplayFaultSurfacesThroughCreate) {
   EXPECT_EQ(reborn.status().code(), StatusCode::kIOError);
 }
 
-// --- Sample invalidation on version bump ----------------------------
-
-TEST(LiveTableTest, SampleHandlerDropsStoreOnDataVersionBump) {
-  SynthSpec spec;
-  spec.rows = 20000;
-  spec.cardinalities = {5, 4, 6};
-  spec.zipf = {1.0, 0.6, 1.2};
-  spec.seed = 77;
-  Table table = GenerateSyntheticTable(spec);
-  MemoryScanSource source(table);
-  SampleHandlerOptions options;
-  options.memory_capacity = 5000;
-  options.min_sample_size = 500;
-  SampleHandler handler(source, options);
-
-  ASSERT_TRUE(handler.GetSampleFor(Rule::Trivial(3)).ok());
-  EXPECT_EQ(handler.scans_performed(), 1u);
-  auto cached = handler.GetSampleFor(Rule::Trivial(3));
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->mechanism, SampleMechanism::kFind);
-  EXPECT_EQ(handler.scans_performed(), 1u);
-
-  // A version bump means every reservoir describes rows that no longer
-  // exist in that shape: the stored samples must go, and the next request
-  // must rescan.
-  handler.BumpDataVersion(2);
-  EXPECT_EQ(handler.data_version(), 2u);
-  auto fresh = handler.GetSampleFor(Rule::Trivial(3));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->mechanism, SampleMechanism::kCreate);
-  EXPECT_EQ(handler.scans_performed(), 2u);
-}
-
 // --- Service-level version pinning ----------------------------------
 
 Table SynthBase() {
@@ -622,6 +587,29 @@ TEST(LiveServiceTest, AppendToStaticDatasetRejectedAppendToLiveAccepted) {
   // tableinfo on the static dataset reports version 0: it never versions.
   std::string info = service.ServeLine("tableinfo dataset=static");
   EXPECT_NE(info.find("\"version\":0"), std::string::npos) << info;
+}
+
+TEST(LiveServiceTest, RejectedAddLiveTableLeavesItsWalUntouched) {
+  Table base = SynthBase();
+  SizeWeight weight;
+  std::string wal_a = TempPath("live_dup_a.wal");
+  std::string wal_b = TempPath("live_dup_b.wal");
+  api::ExplorationService service;
+  ASSERT_TRUE(service.AddLiveTable("synth", base, weight, wal_a).ok());
+  const uint64_t wal_a_bytes = FileSize(wal_a);
+
+  // The duplicate is refused before any replay, truncation or WAL header.
+  Status dup = service.AddLiveTable("synth", base, weight, wal_b);
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument) << dup.ToString();
+  EXPECT_FALSE(std::ifstream(wal_b).good()) << "created " << wal_b;
+  EXPECT_EQ(FileSize(wal_a), wal_a_bytes);
+  EXPECT_FALSE(service.replaying());
+
+  // A create that fails releases its claim on the name.
+  std::string unopenable = ::testing::TempDir() + "/no_such_dir/live.wal";
+  EXPECT_FALSE(service.AddLiveTable("other", base, weight, unopenable).ok());
+  EXPECT_TRUE(service.AddLiveTable("other", base, weight).ok());
+  std::remove(wal_a.c_str());
 }
 
 }  // namespace

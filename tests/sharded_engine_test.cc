@@ -19,6 +19,7 @@
 #include "storage/disk_table.h"
 #include "storage/scan_source.h"
 #include "storage/shard_plan.h"
+#include "storage/table_view.h"
 #include "tests/test_util.h"
 #include "weights/standard_weights.h"
 
@@ -197,8 +198,17 @@ TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
   auto reference = testing::MakeSession(table, weight, serial);
   std::string expected = DriveScript(reference.session);
   ASSERT_FALSE(expected.empty());
+  // The refresh summed the measure, not counted rows: the root's exact mass
+  // is the whole column's sum, bit for bit.
+  TableView all(table);
+  all.SelectMeasure(0);
+  const double column_sum = all.total_mass();
+  const double root_mass =
+      reference.session.node(reference.session.root()).mass;
+  EXPECT_EQ(std::memcmp(&root_mass, &column_sum, sizeof(double)), 0);
+  EXPECT_NE(root_mass, static_cast<double>(table.num_rows()));
 
-  for (size_t shards : {2u, 4u}) {
+  for (size_t shards : {1u, 2u, 4u}) {
     for (size_t threads : {1u, 8u}) {
       ShardedEngineOptions options;
       options.num_shards = shards;
@@ -212,6 +222,36 @@ TEST(ShardedDifferentialTest, SumMeasureTreesAreByteIdentical) {
           << "Sum tree drift at num_shards=" << shards
           << " num_threads=" << threads;
     }
+  }
+}
+
+TEST(ShardedDifferentialTest, OneShardDrillsTheBorrowedTableItself) {
+  Table table = ShardableTable();
+  SizeWeight weight;
+
+  // A plain engine and a one-shard sharded engine both drill the borrowed
+  // table as their only part: no slice is made.
+  auto plain = ExplorationEngine::Create(table, weight);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ((*plain)->parts().size(), 1u);
+  EXPECT_EQ((*plain)->parts()[0], &table);
+  ShardedEngineOptions one;
+  one.num_shards = 1;
+  auto single = ShardedEngine::Create(table, weight, one);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  ASSERT_EQ((*single)->front().parts().size(), 1u);
+  EXPECT_EQ((*single)->front().parts()[0], &table);
+
+  // Four shards drill four slices that partition the rows in order.
+  ShardedEngineOptions four;
+  four.num_shards = 4;
+  auto sharded = ShardedEngine::Create(table, weight, four);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::vector<const Table*>& parts = (*sharded)->front().parts();
+  ASSERT_EQ(parts.size(), 4u);
+  for (size_t s = 0; s < parts.size(); ++s) {
+    EXPECT_NE(parts[s], &table);
+    EXPECT_EQ(parts[s]->num_rows(), (*sharded)->plan().shard(s).num_rows());
   }
 }
 
@@ -290,10 +330,8 @@ TEST(ShardedServiceTest, AddShardedTableServesIdenticalTreeBytes) {
   std::string expected = drive(unsharded);
   ASSERT_FALSE(expected.empty());
 
-  api::ServiceOptions options;
-  options.num_shards = 4;  // AddShardedTable(num_shards = 0) inherits this
-  api::ExplorationService sharded(options);
-  ASSERT_TRUE(sharded.AddShardedTable("t", table, weight).ok());
+  api::ExplorationService sharded;
+  ASSERT_TRUE(sharded.AddShardedTable("t", table, weight, 4).ok());
   EXPECT_EQ(drive(sharded), expected);
 
   // Duplicate registration still rejected through the sharded front.
