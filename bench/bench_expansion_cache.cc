@@ -16,7 +16,6 @@
 // Knobs: SMARTDD_CENSUS_ROWS (default 500000), SMARTDD_CENSUS_COLS (7),
 //        SMARTDD_BENCH_K (3 greedy steps), SMARTDD_BENCH_REPS (5).
 
-#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -32,13 +31,6 @@
 namespace {
 
 using namespace smartdd;
-
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
-  std::sort(sorted.begin(), sorted.end());
-  size_t idx = static_cast<size_t>(p * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
 
 std::string TokenOf(const std::string& open_response) {
   size_t pos = open_response.find("\"session\":\"");

@@ -61,13 +61,6 @@ std::string Fingerprint(const DrillDownResponse& response) {
   return out;
 }
 
-double Percentile(std::vector<double> sorted, double p) {
-  if (sorted.empty()) return 0;
-  std::sort(sorted.begin(), sorted.end());
-  size_t idx = static_cast<size_t>(p * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
                     size_t shards, uint64_t reps) {
   ShardedEngineOptions options;
@@ -96,8 +89,8 @@ Measurement RunOnce(const Table& table, const WeightFunction& weight, size_t k,
     m.mtuples_per_sec = std::max(m.mtuples_per_sec, mtps);
     m.fingerprint = Fingerprint(*response);
   }
-  m.p50_ms = Percentile(latencies, 0.50);
-  m.p95_ms = Percentile(latencies, 0.95);
+  m.p50_ms = bench::Percentile(latencies, 0.50);
+  m.p95_ms = bench::Percentile(latencies, 0.95);
   return m;
 }
 

@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,6 +69,13 @@ void ParseFlags(int argc, char** argv) {
     registered = true;
     std::atexit(FlushJson);
   }
+}
+
+double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  size_t idx = static_cast<size_t>(p * (values.size() - 1) + 0.5);
+  return values[std::min(idx, values.size() - 1)];
 }
 
 std::string JsonEscape(const std::string& s) {

@@ -48,6 +48,9 @@ void ParseFlags(int argc, char** argv);
 /// flag is unset). Called automatically at exit after ParseFlags.
 void FlushJson();
 
+/// Nearest-rank percentile (p in [0, 1]) of `values`; 0 when empty.
+double Percentile(std::vector<double> values, double p);
+
 /// Minimal JSON escaping for string values.
 std::string JsonEscape(const std::string& s);
 

@@ -76,21 +76,26 @@ Status ExplorationService::AddEngine(std::string name,
   return Status::OK();
 }
 
-Status ExplorationService::AddEngine(std::string name, ShardedEngine* engine) {
-  SMARTDD_CHECK(engine != nullptr);
-  return AddEngine(std::move(name), &engine->front());
-}
-
 Status ExplorationService::AddShardedTable(std::string name,
                                            const Table& table,
                                            const WeightFunction& weight,
                                            size_t num_shards) {
+  {
+    // Claim the name first: a duplicate must not slice the table nor
+    // overwrite the per-part gauges of the dataset it collides with.
+    std::lock_guard<std::mutex> lock(engines_mu_);
+    SMARTDD_RETURN_IF_ERROR(CheckNameFreeLocked(name));
+    claimed_names_.insert(name);
+  }
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   auto engine = ShardedEngine::Create(table, weight, std::move(options));
-  SMARTDD_RETURN_IF_ERROR(engine.status());
-  SMARTDD_RETURN_IF_ERROR(AddEngine(std::move(name), engine->get()));
+
   std::lock_guard<std::mutex> lock(engines_mu_);
+  claimed_names_.erase(name);
+  SMARTDD_RETURN_IF_ERROR(engine.status());
+  if (engines_.empty() && live_datasets_.empty()) default_dataset_ = name;
+  engines_.emplace(std::move(name), &(*engine)->front());
   owned_engines_.push_back(std::move(engine).value());
   return Status::OK();
 }

@@ -73,12 +73,6 @@ class ExplorationService {
   /// InvalidArgument for a duplicate name.
   Status AddEngine(std::string name, ExplorationEngine* engine);
 
-  /// Registers a sharded engine's front as dataset `name`. Sessions opened
-  /// on the dataset scatter-gather their exact drill-downs across the
-  /// shards; the wire protocol is unchanged. Borrowed, must outlive the
-  /// service.
-  Status AddEngine(std::string name, ShardedEngine* engine);
-
   /// Stands up a service-owned ShardedEngine of `num_shards` shards over
   /// `table` and registers it as dataset `name`. Purely an execution knob:
   /// every response byte is identical for every shard count. `table` and
@@ -246,8 +240,9 @@ class ExplorationService {
   /// Guarded by engines_mu_ (map structure only; each LiveDataset has its
   /// own lock for its engines vector).
   std::map<std::string, std::unique_ptr<LiveDataset>> live_datasets_;
-  /// Names claimed by AddLiveTable calls still replaying their WAL, so a
-  /// duplicate is rejected before it touches a log. Guarded by engines_mu_.
+  /// Names claimed by AddShardedTable / AddLiveTable calls still building
+  /// their engine or replaying their WAL, so a duplicate is rejected before
+  /// it slices a table or touches a log. Guarded by engines_mu_.
   std::set<std::string> claimed_names_;
   std::string default_dataset_;
   /// Sharded engines stood up by AddShardedTable. Declared before the

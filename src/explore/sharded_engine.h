@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "explore/engine.h"
-#include "storage/scan_source.h"
 #include "storage/shard_plan.h"
 #include "storage/table.h"
 #include "weights/weight_function.h"
@@ -34,26 +33,18 @@ struct ShardedEngineOptions {
 /// byte-identical to a single-shard serial engine for every
 /// num_shards x num_threads combination.
 ///
-/// In-memory mode hands the front engine the shard slices as its row
-/// parts (ExplorationEngine::RunDrillDown / ExactMasses scatter-gather over
+/// The front engine gets the shard slices as its row parts
+/// (ExplorationEngine::RunDrillDown / ExactMasses scatter-gather over
 /// them); a one-shard plan's part is the borrowed table itself, so nothing
-/// is copied. Scan-source mode slices the source into RangeScanSources
-/// recombined by a ShardedScanSource — same rows, same order — so the
-/// sampling subsystem (sub-reservoir stitch, ExactMasses chunk merges) is
-/// byte-identical by construction.
+/// is copied.
 ///
 /// Like ExplorationEngine, the sharded engine is pinned in memory and
-/// borrows its table/source and weight; destroy all sessions before it.
+/// borrows its table and weight; destroy all sessions before it.
 class ShardedEngine {
  public:
-  /// In-memory mode: `table` and `weight` must outlive the engine.
+  /// `table` and `weight` must outlive the engine.
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const Table& table, const WeightFunction& weight,
-      ShardedEngineOptions options = {});
-
-  /// Scan-source mode: `source` and `weight` must outlive the engine.
-  static Result<std::unique_ptr<ShardedEngine>> Create(
-      const ScanSource& source, const WeightFunction& weight,
       ShardedEngineOptions options = {});
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -69,13 +60,9 @@ class ShardedEngine {
   ShardedEngine() = default;
 
   ShardPlan plan_;
-  /// In-memory mode with more than one shard: one row slice per shard,
-  /// sharing the original table's dictionaries (the front engine's parts).
+  /// More than one shard: one row slice per shard, sharing the original
+  /// table's dictionaries (the front engine's parts).
   std::vector<Table> shard_tables_;
-  /// Scan-source mode: per-shard row-range slices and their concatenation
-  /// (the front engine's source).
-  std::vector<std::unique_ptr<RangeScanSource>> shard_sources_;
-  std::unique_ptr<ShardedScanSource> sharded_source_;
   std::unique_ptr<ExplorationEngine> front_;
 };
 

@@ -4,10 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
-#include "common/logging.h"
 #include "common/status.h"
 #include "storage/table.h"
 
@@ -71,15 +68,6 @@ class ScanSource {
   /// counts.
   static uint64_t PlanChunks(uint64_t num_rows);
 
-  /// Shard-aware variant: a pure function of (num_rows, parallelism) that
-  /// never plans fewer chunks than the caller's fan-out, so a shard small
-  /// enough for one chunk still splits across its workers. `parallelism`
-  /// must be a configuration constant (a shard count, a fixed lane count) —
-  /// NOT a runtime thread count — or chunk-merged sums stop being
-  /// reproducible across machines. Chunks are still capped at 64 and at one
-  /// per row.
-  static uint64_t PlanChunks(uint64_t num_rows, uint64_t parallelism);
-
   /// Creates an empty in-memory Table sharing this source's dictionaries
   /// (codes emitted by Scan are valid codes in the returned table).
   virtual Table MakeEmptyTable() const = 0;
@@ -94,69 +82,6 @@ class ScanSource {
 
  protected:
   mutable std::atomic<uint64_t> scan_count_{0};
-};
-
-/// A contiguous row-range slice of another source — shard s of a ShardPlan,
-/// viewed as a source in its own right. Row ids are local to the slice
-/// (0-based), so per-shard consumers (chunk plans, per-shard samplers) see
-/// a self-contained row space; ShardedScanSource adds the offsets back when
-/// presenting the shards as one table. Range passes delegate to the base
-/// source's ScanRange, which must allow concurrent calls on disjoint ranges
-/// (DiskTable opens a file handle per call), so N shard slices can scan in
-/// parallel.
-class RangeScanSource : public ScanSource {
- public:
-  /// Does not take ownership; `base` must outlive the slice.
-  RangeScanSource(const ScanSource& base, uint64_t row_begin, uint64_t row_end)
-      : base_(&base), begin_(row_begin), end_(row_end) {
-    SMARTDD_CHECK(row_begin <= row_end && row_end <= base.num_rows())
-        << "slice [" << row_begin << ", " << row_end << ") out of range";
-  }
-
-  const Schema& schema() const override { return base_->schema(); }
-  uint64_t num_rows() const override { return end_ - begin_; }
-  size_t num_measures() const override { return base_->num_measures(); }
-  Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                   const ScanCallback& fn) const override;
-  Table MakeEmptyTable() const override { return base_->MakeEmptyTable(); }
-
-  uint64_t base_row_begin() const { return begin_; }
-  uint64_t base_row_end() const { return end_; }
-
- private:
-  const ScanSource* base_;
-  uint64_t begin_;
-  uint64_t end_;
-};
-
-/// N row-contiguous shard sources presented as one logical table: row ids
-/// are global (shard offsets added back), and a range pass visits the
-/// overlapped shards in shard order — so every scan over the sharded source
-/// delivers the same tuples in the same order as a scan over the unsharded
-/// original, and chunk-merged consumers (the SampleHandler's sub-reservoir
-/// stitch, ExactMasses accumulators) are byte-identical for every shard
-/// count by construction.
-class ShardedScanSource : public ScanSource {
- public:
-  /// Does not take ownership; the shard sources must outlive this source
-  /// and be row-contiguous in the given order.
-  explicit ShardedScanSource(std::vector<const ScanSource*> shards);
-
-  const Schema& schema() const override { return shards_[0]->schema(); }
-  uint64_t num_rows() const override { return offsets_.back(); }
-  size_t num_measures() const override { return shards_[0]->num_measures(); }
-  Status ScanRange(uint64_t row_begin, uint64_t row_end,
-                   const ScanCallback& fn) const override;
-  Table MakeEmptyTable() const override { return shards_[0]->MakeEmptyTable(); }
-
-  size_t num_shards() const { return shards_.size(); }
-  const ScanSource& shard(size_t i) const { return *shards_[i]; }
-  /// Global row offset of shard i (offsets_[num_shards()] == num_rows()).
-  uint64_t shard_offset(size_t i) const { return offsets_[i]; }
-
- private:
-  std::vector<const ScanSource*> shards_;
-  std::vector<uint64_t> offsets_;
 };
 
 /// ScanSource over an in-memory Table.

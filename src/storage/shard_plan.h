@@ -7,7 +7,7 @@
 
 namespace smartdd {
 
-/// One shard's contiguous row range [begin, end) of a table or scan source.
+/// One shard's contiguous row range [begin, end) of a table.
 struct ShardRange {
   uint64_t begin = 0;
   uint64_t end = 0;
@@ -27,8 +27,7 @@ struct ShardRange {
 ///    i+1 begins, shard 0 begins at 0, the last shard ends at n.
 ///  - Balanced to within one scan granule: interior boundaries are aligned
 ///    down to ScanSource::PlanChunks' 4096-row granule (when n is large
-///    enough for that), so each shard's own chunk plan tiles the shard
-///    without a fractional tail chunk on the boundary.
+///    enough for that).
 ///
 /// Shard boundaries do NOT have to align with the lane/chunk grids of the
 /// deterministic fold (see core/best_marginal.cc): the sharded search walks

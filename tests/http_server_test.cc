@@ -848,6 +848,67 @@ TEST(HttpAdapterTest, DeadlineExceededExpandShipsPartialTreeAs200) {
   EXPECT_NE(client.ReadBody().find("\"ok\":true"), std::string::npos);
 }
 
+// The serving path under chaos leaks no session: every dispatch pays an
+// injected latency fault, a tight in-flight cap sheds requests with 503,
+// and every other expand carries a pre-expired deadline. A shed open
+// creates no session and a shed close is retried, so once the clients are
+// done and the server has shut down, the registry must be empty.
+TEST(HttpAdapterTest, DegradedServingUnderFaultsLeaksNoSession) {
+  auto& faults = FaultRegistry::Default();
+  faults.DisarmAll();
+  Table table = MakeTable();
+  constexpr int kClients = 8;
+  constexpr int kSessionsPerClient = 4;
+  HttpServerOptions options;
+  options.max_inflight_requests = kClients / 2;
+  AdapterFixture fixture(table, options);
+  ASSERT_TRUE(faults.ArmFromSpec("http.dispatch=latency:2:0").ok());
+  const uint64_t fired_before = faults.fired("http.dispatch");
+
+  std::atomic<int> opened{0};
+  std::atomic<int> shed{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c]() {
+      TestClient client(fixture.server.port());
+      EXPECT_TRUE(client.connected());
+      auto post = [&](const std::string& path, const std::string& body) {
+        client.Send(PostRequest(path, body));
+        std::string response = client.ReadResponse();
+        EXPECT_FALSE(response.empty()) << path << " got no response";
+        if (StatusOf(response) == 503) shed.fetch_add(1);
+        return response;
+      };
+      for (int i = 0; i < kSessionsPerClient; ++i) {
+        std::string open = post("/v1/open", "k=3");
+        size_t at = open.find("\"session\":\"");
+        if (at == std::string::npos) continue;  // shed: no session exists
+        opened.fetch_add(1);
+        std::string token = open.substr(at + 11, 16);
+        for (int node : {0, 1}) {
+          const char* deadline =
+              (i + node) % 2 == 0 ? "" : " deadline_ms=0.0001";
+          post("/v1/expand", token + " " + std::to_string(node) + deadline);
+        }
+        std::string closed;
+        do {
+          closed = post("/v1/close", token);
+        } while (StatusOf(closed) == 503);
+        EXPECT_NE(closed.find("\"ok\":true"), std::string::npos)
+            << "client " << c << ": " << closed;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  faults.DisarmAll();
+  fixture.server.Shutdown();
+
+  EXPECT_GT(opened.load(), 0);
+  EXPECT_GT(faults.fired("http.dispatch"), fired_before);
+  EXPECT_EQ(fixture.service.num_sessions(), 0u)
+      << "sessions leaked; " << shed.load() << " requests were shed";
+}
+
 TEST(HttpAdapterTest, SseStreamEmitsDegradedTerminalEvent) {
   Table table = MakeTable();
   AdapterFixture fixture(table);

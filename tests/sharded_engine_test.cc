@@ -1,7 +1,8 @@
 // The sharded-engine differential suite: the ShardPlan partition contract,
 // and byte-identity of expansion trees across every num_shards x
 // num_threads combination — against single-shard serial — on in-memory
-// tables, on disk-backed scan sources, and through the service front door.
+// tables and through the service front door, plus thread-count identity on
+// disk-backed scan sources.
 
 #include <gtest/gtest.h>
 
@@ -256,10 +257,9 @@ TEST(ShardedDifferentialTest, OneShardDrillsTheBorrowedTableItself) {
 }
 
 TEST(ShardedDifferentialTest, DiskTableTreesAreByteIdentical) {
-  // Scan-source mode: the sharded source must deliver the same rows in the
-  // same order as the unsharded one, making the sampling subsystem
-  // (seeded sub-reservoirs, chunk-merged ExactMasses) byte-identical by
-  // construction.
+  // A disk-backed sampling engine: the sampler plans its chunks from the
+  // row count alone, so seeded sub-reservoirs and chunk-merged ExactMasses
+  // are byte-identical for every thread count.
   CensusSpec census;
   census.rows = 40000;
   census.columns_used = 6;
@@ -283,22 +283,16 @@ TEST(ShardedDifferentialTest, DiskTableTreesAreByteIdentical) {
   std::string expected = DriveScript(reference.session);
   ASSERT_FALSE(expected.empty());
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    for (size_t threads : {1u, 8u}) {
-      ShardedEngineOptions options;
-      options.num_shards = shards;
-      options.engine = sampling;
-      auto engine = ShardedEngine::Create(source, weight, options);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      SessionOptions so;
-      so.k = 3;
-      so.num_threads = threads;
-      auto session = (*engine)->front().NewSession(so);
-      ASSERT_TRUE(session.ok()) << session.status().ToString();
-      EXPECT_EQ(DriveScript(*session), expected)
-          << "disk tree drift at num_shards=" << shards
-          << " num_threads=" << threads;
-    }
+  for (size_t threads : {1u, 8u}) {
+    auto engine = ExplorationEngine::Create(source, weight, sampling);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    SessionOptions so;
+    so.k = 3;
+    so.num_threads = threads;
+    auto session = (*engine)->NewSession(so);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(DriveScript(*session), expected)
+        << "disk tree drift at num_threads=" << threads;
   }
   std::remove(path.c_str());
 }
@@ -337,6 +331,24 @@ TEST(ShardedServiceTest, AddShardedTableServesIdenticalTreeBytes) {
   // Duplicate registration still rejected through the sharded front.
   EXPECT_EQ(sharded.AddShardedTable("t", table, weight).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ShardedServiceTest, RejectedDuplicateLeavesShardGaugesAlone) {
+  Table table = ShardableTable();
+  SizeWeight weight;
+  Gauge& rows0 = MetricsRegistry::Default().GetGauge(
+      "smartdd_shard_rows{shard=\"0\"}",
+      "Rows owned by each shard of the sharded engine");
+
+  api::ExplorationService service;
+  ASSERT_TRUE(service.AddShardedTable("t", table, weight, 1).ok());
+  ASSERT_EQ(rows0.value(), static_cast<int64_t>(table.num_rows()));
+
+  // The duplicate is refused before any engine is built, so it neither
+  // slices the table nor overwrites the first registration's gauges.
+  EXPECT_EQ(service.AddShardedTable("t", table, weight, 4).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(rows0.value(), static_cast<int64_t>(table.num_rows()));
 }
 
 TEST(ShardedMetricsTest, PerShardInstrumentsRenderWithShardLabel) {
